@@ -3,7 +3,8 @@
 #
 #   ./ci.sh          # tier-1 gate: release build + tests (ROADMAP.md)
 #   ./ci.sh quick    # fast pre-push loop: fmt, clippy, debug tests
-#   ./ci.sh smoke    # release smoke runs: check_all, recovery, DSE cache
+#   ./ci.sh smoke    # release smoke runs: check_all, recovery, DSE cache,
+#                    # benchmark simulator workloads
 #   ./ci.sh bench    # bench_guard vs BENCH_BASELINE.json (non-blocking)
 #   ./ci.sh full     # quick + tier-1 + smoke + bench, with stage timings
 #
@@ -98,6 +99,43 @@ smoke() {
   # cold one (see crates/bench/src/bin/dse_explore.rs).
   echo "==> smoke: dse_explore --ci-smoke (release)"
   cargo run "${CARGO_FLAGS[@]}" -q --release -p noc-bench --bin dse_explore -- --ci-smoke
+  bench_smoke
+}
+
+# The repository benchmark (benchmark/, a package of its own) must keep
+# building against the engine API, and its simulator workloads must
+# keep reproducing their golden SimStats digest. Each run's last stdout
+# line is a JSON summary; any failed operation (a conservation, drain
+# or digest check) or a digest that differs from benchmark/src/golden.rs
+# fails the stage.
+bench_smoke() {
+  local manifest=(--manifest-path benchmark/Cargo.toml)
+  echo "==> smoke: benchmark build (release)"
+  cargo build "${CARGO_FLAGS[@]}" -q --release "${manifest[@]}"
+  local golden
+  golden=$(sed -n 's/^pub const SIM_STATS: &str = "\([0-9a-f]*\)";$/\1/p' benchmark/src/golden.rs)
+  if [[ -z "$golden" ]]; then
+    echo "ci.sh: no SIM_STATS digest in benchmark/src/golden.rs" >&2
+    exit 1
+  fi
+  local workload out summary digests
+  for workload in sim_mesh_sat sim_mesh_scan; do
+    echo "==> smoke: benchmark $workload (2 s, seed 7)"
+    out=$(cargo run "${CARGO_FLAGS[@]}" -q --release "${manifest[@]}" -- \
+      --workload "$workload" --seed 7 --seconds 2 --trace 0)
+    summary=$(tail -n 1 <<<"$out")
+    echo "$summary"
+    if ! grep -Eq '"failed": 0[,}]' <<<"$summary"; then
+      echo "ci.sh: benchmark $workload reported failed operations" >&2
+      exit 1
+    fi
+    digests=$(grep '^digest sim.stats' <<<"$out" || true)
+    if [[ -z "$digests" ]] || grep -qv "= $golden\$" <<<"$digests"; then
+      echo "ci.sh: benchmark $workload SimStats digest differs from golden $golden:" >&2
+      echo "$digests" | sort -u >&2
+      exit 1
+    fi
+  done
 }
 
 bench() {

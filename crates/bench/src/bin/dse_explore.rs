@@ -15,9 +15,10 @@
 //! byte-identical front.
 //!
 //! `--ci-smoke` runs the acceptance protocol in a temp directory: a
-//! cold exploration, a warm re-run that must be 100% cache hits with a
-//! bit-identical front, and a killed-then-resumed run whose front must
-//! equal the cold one. Exits nonzero on any violation.
+//! cold exploration, a warm re-run (checkpoint evicted, so every spec is
+//! looked up again) that must be 100% cache hits with a bit-identical
+//! front, and a killed-then-resumed run whose front must equal the cold
+//! one. Exits nonzero on any violation.
 
 use noc::dse::{default_grid, explore, DseConfig, Store};
 use std::process::ExitCode;
@@ -108,13 +109,15 @@ fn run_once(args: &Args) -> ExitCode {
         report.specs_explored as f64 / secs.max(1e-9),
         report.resumed_from,
     );
+    let hit_rate = if stats.hits + stats.misses == 0 {
+        "no lookups".to_string()
+    } else {
+        format!("{:.1}% hit rate", stats.hit_rate() * 100.0)
+    };
     println!(
-        "dse_explore: cache: {} hits / {} misses ({:.1}% hit rate), \
+        "dse_explore: cache: {} hits / {} misses ({hit_rate}), \
          {} corrupt record(s) skipped",
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0,
-        stats.corrupt,
+        stats.hits, stats.misses, stats.corrupt,
     );
     println!(
         "dse_explore: structures: {} reused / {} built \
@@ -201,6 +204,15 @@ fn ci_smoke_in(args: &Args, dir: &std::path::Path) -> ExitCode {
     );
 
     // 2. Warm re-run must be pure cache replay with an identical front.
+    // The cold run's checkpoint would resume the warm run at its last
+    // shard (zero lookups, a vacuous pass): evict it so every spec is
+    // looked up again.
+    let ckpt = dir.join("cold.dse.ckpt");
+    if let Err(e) = std::fs::remove_file(&ckpt) {
+        if e.kind() != std::io::ErrorKind::NotFound {
+            return fail(&format!("cannot evict {}: {e}", ckpt.display()));
+        }
+    }
     cold_store.reset_counters();
     let t1 = Instant::now();
     let warm = match explore(&cfg, &grid, &cold_store) {
@@ -208,6 +220,12 @@ fn ci_smoke_in(args: &Args, dir: &std::path::Path) -> ExitCode {
         Err(e) => return fail(&format!("warm run: {e}")),
     };
     let warm_secs = t1.elapsed().as_secs_f64();
+    if warm.resumed_from != 0 || warm.store_stats.hits == 0 {
+        return fail(&format!(
+            "warm run made no cache lookups (resumed from shard {}, {} hits)",
+            warm.resumed_from, warm.store_stats.hits
+        ));
+    }
     if warm.store_stats.misses != 0 {
         return fail(&format!(
             "warm run missed the cache {} time(s); expected 100% hits",
@@ -261,13 +279,14 @@ fn ci_smoke_in(args: &Args, dir: &std::path::Path) -> ExitCode {
 
     println!(
         "dse_explore: ci-smoke OK: {} specs x {} candidates; cold {:.2}s, \
-         warm {:.2}s ({:.0}x speedup, 100% hits), kill@{kill_at}+resume \
+         warm {:.2}s ({:.0}x speedup, {} lookups, 100% hits), kill@{kill_at}+resume \
          front byte-identical ({} Pareto points)",
         cfg.specs,
         grid.len(),
         cold_secs,
         warm_secs,
         cold_secs / warm_secs.max(1e-9),
+        warm.store_stats.hits,
         cold.front.points().len(),
     );
     ExitCode::SUCCESS

@@ -72,7 +72,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// Per-link simulation state: the wire pipeline plus the input buffer at
-/// the receiving end.
+/// the receiving end. The per-port allocation state (credits, launch
+/// stamps, front-flit codes) lives in the simulator's flat arrays.
 #[derive(Debug, Clone)]
 struct LinkState {
     /// Pipeline stages on the wire (traversal = stages + 1 cycles).
@@ -81,12 +82,6 @@ struct LinkState {
     in_flight: VecDeque<(u64, Flit)>,
     /// Input buffer at the receiver, one FIFO per VC.
     bufs: Vec<VecDeque<Flit>>,
-    /// Free downstream buffer slots per VC, as seen by the sender.
-    credits: Vec<usize>,
-    /// Cycle of the most recent launch (one flit per cycle per link).
-    launched_at: u64,
-    /// ACK/NACK: the link is busy retransmitting until this cycle.
-    retry_until: u64,
     /// Flits carried after warmup (statistics).
     carried: u64,
     /// Cycles a ready flit could not launch for lack of downstream
@@ -95,14 +90,11 @@ struct LinkState {
 }
 
 impl LinkState {
-    fn new(stages: u32, vcs: usize, depth: usize) -> LinkState {
+    fn new(stages: u32, vcs: usize) -> LinkState {
         LinkState {
             stages,
             in_flight: VecDeque::new(),
             bufs: vec![VecDeque::new(); vcs],
-            credits: vec![depth; vcs],
-            launched_at: u64::MAX,
-            retry_until: 0,
             carried: 0,
             stalls: 0,
         }
@@ -110,6 +102,43 @@ impl LinkState {
 
     fn buffered_flits(&self) -> usize {
         self.bufs.iter().map(VecDeque::len).sum::<usize>() + self.in_flight.len()
+    }
+}
+
+/// `owner`/`route_lock` entry of a port no packet holds.
+const NO_LINK: u32 = u32::MAX;
+/// Front-table flag: the front flit is guaranteed-throughput traffic.
+const FRONT_GT: u32 = 1 << 31;
+/// Front-table mask selecting the target (a link id or a sentinel).
+const FRONT_TARGET: u32 = FRONT_GT - 1;
+/// Front-table target: the input buffer is empty.
+const FRONT_EMPTY: u32 = FRONT_TARGET;
+/// Front-table target: the front flit is a body/tail flit, which
+/// follows the port's `route_lock`.
+const FRONT_BODY: u32 = FRONT_TARGET - 1;
+/// Front-table target: the front flit is a head whose route has no
+/// next hop (malformed; it stays buffered).
+const FRONT_BAD: u32 = FRONT_TARGET - 2;
+
+/// The front-table code of an input buffer whose front flit is `front`:
+/// the head's next output link, [`FRONT_BODY`] or [`FRONT_BAD`], with
+/// [`FRONT_GT`] set for priority traffic; [`FRONT_EMPTY`] for no flit.
+fn front_code(front: Option<&Flit>) -> u32 {
+    let Some(f) = front else {
+        return FRONT_EMPTY;
+    };
+    let target = if !f.is_head {
+        FRONT_BODY
+    } else {
+        match f.route.as_ref().and_then(|r| r.get(f.hop)) {
+            Some(l) => l.0 as u32,
+            None => FRONT_BAD,
+        }
+    };
+    if f.priority {
+        target | FRONT_GT
+    } else {
+        target
     }
 }
 
@@ -360,14 +389,39 @@ pub struct Simulator {
     // maps: every link has exactly one source and one destination node,
     // so `(link, vc)` globally identifies an input or output port and
     // the hot phases index instead of walking trees.
+    //
+    // Switch allocation reads only the dense per-port arrays below
+    // (DESIGN.md §5, "Dense port state"); a buffered `Flit` is touched
+    // only when it is popped.
     /// Round-robin pointer per output link, indexed by `LinkId`.
     rr: Vec<u32>,
-    /// Current output assignment of an in-progress packet, indexed by
-    /// `input link * vcs + vc`.
-    route_lock: Vec<Option<LinkId>>,
-    /// Owning `(input link, vc)` of each allocated output port, indexed
-    /// by `output link * vcs + vc`.
-    owner: Vec<Option<(LinkId, usize)>>,
+    /// Output link of the in-progress packet at each input port
+    /// (`NO_LINK` when none), indexed by `input link * vcs + vc`.
+    route_lock: Vec<u32>,
+    /// Input link owning each allocated output port (`NO_LINK` when
+    /// free), indexed by `output link * vcs + vc`. The owner holds the
+    /// same VC on its input, so the link alone names it.
+    owner: Vec<u32>,
+    /// What the front flit of each input port wants ([`front_code`]),
+    /// indexed by `input link * vcs + vc`. Every input-buffer push and
+    /// pop refreshes it through `refresh_front`.
+    front: Vec<u32>,
+    /// Free downstream buffer slots as seen by the sender, indexed by
+    /// `link * vcs + vc`.
+    credits: Vec<u32>,
+    /// Cycle of each link's most recent launch (one flit per cycle per
+    /// link), indexed by `LinkId`.
+    launched_at: Vec<u64>,
+    /// ACK/NACK: each link is busy retransmitting until this cycle,
+    /// indexed by `LinkId`.
+    retry_until: Vec<u64>,
+    /// Launch-to-arrival cycles of each link (pipeline stages + 1, plus
+    /// the synchronizer penalty on a domain crossing), indexed by
+    /// `LinkId`. Recomputed by `set_domains`.
+    wire_latency: Vec<u32>,
+    /// Whether any clock domain runs divided; when none does, every
+    /// node is clocked every cycle and the divider check is skipped.
+    clocks_divided: bool,
     /// Flits buffered at each link's receiving end (all VCs), indexed
     /// by `LinkId`. Lets the hot phases skip empty links without
     /// touching their per-VC FIFOs.
@@ -574,8 +628,12 @@ impl Simulator {
         let links: Vec<LinkState> = topo
             .links()
             .iter()
-            .map(|l| LinkState::new(l.pipeline_stages, cfg.vcs, cfg.buffer_depth))
+            .map(|l| LinkState::new(l.pipeline_stages, cfg.vcs))
             .collect();
+        assert!(
+            links.len() < FRONT_BAD as usize,
+            "link ids must stay below the front-table sentinels"
+        );
         let adj = AdjacencyCache::build(&topo);
         let domains = DomainMap::single_domain(&topo);
         let nodes = topo.nodes().len();
@@ -606,10 +664,17 @@ impl Simulator {
         }
         let eject_count = adj.eject_ports.len();
         let switch_count = adj.switches.len();
-        Simulator {
+        let depth = u32::try_from(cfg.buffer_depth).expect("buffer depth fits a u32");
+        let mut sim = Simulator {
             rr: vec![0; links.len()],
-            route_lock: vec![None; ports],
-            owner: vec![None; ports],
+            route_lock: vec![NO_LINK; ports],
+            owner: vec![NO_LINK; ports],
+            front: vec![FRONT_EMPTY; ports],
+            credits: vec![depth; ports],
+            launched_at: vec![u64::MAX; nlinks],
+            retry_until: vec![0; nlinks],
+            wire_latency: Vec::new(),
+            clocks_divided: false,
             buf_count: vec![0; links.len()],
             node_buffered: vec![0; nodes],
             link_dst: topo.links().iter().map(|l| l.dst).collect(),
@@ -684,7 +749,9 @@ impl Simulator {
             corrupt_enabled: false,
             corrupt_plan_seed: 0,
             tainted: BTreeSet::new(),
-        }
+        };
+        sim.refresh_clocking();
+        sim
     }
 
     /// Switches this simulator to the straight-line per-cycle *scan*
@@ -730,6 +797,33 @@ impl Simulator {
     /// Installs a GALS clock-domain map.
     pub fn set_domains(&mut self, domains: DomainMap) {
         self.domains = domains;
+        self.refresh_clocking();
+    }
+
+    /// Recomputes what the domain map decides per link and per node:
+    /// each link's wire latency and whether any divider gates a node.
+    fn refresh_clocking(&mut self) {
+        let penalty = self.cfg.sync_penalty;
+        self.wire_latency = self
+            .topo
+            .links()
+            .iter()
+            .map(|l| {
+                let crossing = if self.domains.crosses(l.src, l.dst) {
+                    penalty
+                } else {
+                    0
+                };
+                u32::try_from(u64::from(l.pipeline_stages) + 1 + crossing)
+                    .expect("wire latency fits a u32")
+            })
+            .collect();
+        self.clocks_divided = self.domains.divided();
+    }
+
+    /// Whether `node`'s clock domain ticks on the current cycle.
+    fn clocked(&self, node: NodeId) -> bool {
+        !self.clocks_divided || self.domains.active(node, self.cycle)
     }
 
     /// Installs a TDMA slot table at an injecting NI.
@@ -1361,46 +1455,87 @@ impl Simulator {
             .unwrap_or(u64::MAX);
     }
 
-    /// Debug snapshot of a link: (credits per VC, buffered flits per VC,
-    /// in-flight count). Test/diagnostic use.
+    /// Audits the dense port state against a full recount: every
+    /// front-table entry matches its buffer's front flit, buffer
+    /// occupancy counters match the buffers, `owner` and `route_lock`
+    /// pair up exactly, and — on a whole simulator, where every port's
+    /// sender and receiver live together — each port's credits plus the
+    /// flits it holds (on the wire, buffered, or awaiting a credit
+    /// return) equal the buffer depth. Test/diagnostic use; debug
+    /// builds run it whenever stats finalize.
     #[doc(hidden)]
-    pub fn debug_link_state(&self, link: LinkId) -> (Vec<usize>, Vec<usize>, usize) {
-        let l = &self.links[link.0];
-        (
-            l.credits.clone(),
-            l.bufs.iter().map(|b| b.len()).collect(),
-            l.in_flight.len(),
-        )
+    pub fn audit_port_state(&self) -> Result<(), String> {
+        let vcs = self.cfg.vcs;
+        for (li, l) in self.links.iter().enumerate() {
+            let buffered: usize = l.bufs.iter().map(VecDeque::len).sum();
+            if self.buf_count[li] as usize != buffered {
+                return Err(format!(
+                    "link {li}: buf_count {} but {buffered} flits buffered",
+                    self.buf_count[li]
+                ));
+            }
+            for vc in 0..vcs {
+                let port = li * vcs + vc;
+                let want = front_code(l.bufs[vc].front());
+                if self.front[port] != want {
+                    return Err(format!(
+                        "link {li} vc {vc}: front code {:#x}, buffer front says {want:#x}",
+                        self.front[port]
+                    ));
+                }
+                let out = self.route_lock[port];
+                if out != NO_LINK && self.owner[out as usize * vcs + vc] != li as u32 {
+                    return Err(format!(
+                        "input {li} vc {vc} is locked to output {out}, which it does not own"
+                    ));
+                }
+                let input = self.owner[port];
+                if input != NO_LINK && self.route_lock[input as usize * vcs + vc] != li as u32 {
+                    return Err(format!(
+                        "output {li} vc {vc} is owned by input {input}, which is not locked to it"
+                    ));
+                }
+            }
+        }
+        if self.part.is_none() {
+            let held = self.port_holdings();
+            for (port, (&credits, &held)) in self.credits.iter().zip(&held).enumerate() {
+                if credits as usize + held as usize != self.cfg.buffer_depth {
+                    return Err(format!(
+                        "link {} vc {}: {credits} credits + {held} held slots != depth {}",
+                        port / vcs,
+                        port % vcs,
+                        self.cfg.buffer_depth
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Debug: the head flit of a link's per-VC buffer, described as
-    /// (flow, is_head, is_tail, hop, has_route). Test/diagnostic use.
-    #[doc(hidden)]
-    pub fn debug_buffer_head(
-        &self,
-        link: LinkId,
-        vc: usize,
-    ) -> Option<(Option<noc_spec::FlowId>, bool, bool, usize, bool)> {
-        self.links[link.0].bufs[vc]
-            .front()
-            .map(|f| (f.flow, f.is_head, f.is_tail, f.hop, f.route.is_some()))
+    /// Downstream buffer slots each port currently holds, indexed by
+    /// `link * vcs + vc`: flits on the wire, flits buffered, and pops
+    /// whose credit return is still queued.
+    pub(crate) fn port_holdings(&self) -> Vec<u32> {
+        let vcs = self.cfg.vcs;
+        let mut held = vec![0u32; self.credits.len()];
+        for (li, l) in self.links.iter().enumerate() {
+            for (_, f) in &l.in_flight {
+                held[li * vcs + f.vc] += 1;
+            }
+            for (vc, b) in l.bufs.iter().enumerate() {
+                held[li * vcs + vc] += b.len() as u32;
+            }
+        }
+        for &(li, vc) in &self.credit_returns {
+            held[li as usize * vcs + vc as usize] += 1;
+        }
+        held
     }
 
-    /// Debug: the owner map of a switch. Test/diagnostic use.
-    #[doc(hidden)]
-    pub fn debug_owners(&self, sw: NodeId) -> Vec<((LinkId, usize), (LinkId, usize))> {
-        let (start, end) = self.adj.outgoing(sw);
-        let mut owners: Vec<_> = self.adj.out_flat[start..end]
-            .iter()
-            .flat_map(|&out_l| {
-                (0..self.cfg.vcs).filter_map(move |vc| {
-                    self.owner[out_l.0 * self.cfg.vcs + vc].map(|src| ((out_l, vc), src))
-                })
-            })
-            .collect();
-        // Ascending (link, vc) key order, as the former BTreeMap yielded.
-        owners.sort_unstable_by_key(|&(k, _)| k);
-        owners
+    /// Free downstream slots of `(link, vc)` as the sender sees them.
+    pub(crate) fn port_credits(&self, li: usize, vc: usize) -> u32 {
+        self.credits[li * self.cfg.vcs + vc]
     }
 
     /// Runs the simulation for `cycles` cycles.
@@ -1451,6 +1586,13 @@ impl Simulator {
                 "maintained queue occupancy must match a full recount"
             );
         }
+        // Shard-local parts of the audit hold on a shard too; credit
+        // conservation is checked across shards by the partitioned
+        // simulator's own audit.
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.audit_port_state() {
+            panic!("dense port state diverged from a full recount: {e}");
+        }
         self.stats.measured_cycles = self.cycle.saturating_sub(self.cfg.warmup);
         self.stats.link_flits = self
             .links
@@ -1471,9 +1613,9 @@ impl Simulator {
     /// Whether all link credits are back at their initial value — a
     /// conservation invariant that must hold on a drained network.
     pub fn credits_restored(&self) -> bool {
-        self.links
+        self.credits
             .iter()
-            .all(|l| l.credits.iter().all(|&c| c == self.cfg.buffer_depth))
+            .all(|&c| c as usize == self.cfg.buffer_depth)
     }
 
     fn measuring(&self) -> bool {
@@ -1573,14 +1715,11 @@ impl Simulator {
     fn fail_link(&mut self, link: LinkId, event: usize) {
         let vcs = self.cfg.vcs;
         let li = link.0;
-        let dst = self.link_dst[li];
         // Receive buffer first, wire second: the last doomed flit per VC
         // is then the newest, whose packet id labels the flush tail.
         let mut doomed: Vec<Flit> = Vec::new();
         for vc in 0..vcs {
-            while let Some(f) = self.links[li].bufs[vc].pop_front() {
-                self.buf_count[li] -= 1;
-                self.node_buffered[dst.0] -= 1;
+            while let Some(f) = self.pop_input(li, vc) {
                 doomed.push(f);
             }
         }
@@ -1588,7 +1727,7 @@ impl Simulator {
         let mut last_packet: Vec<Option<PacketId>> = vec![None; vcs];
         for f in doomed {
             last_packet[f.vc] = Some(f.packet);
-            self.links[li].credits[f.vc] += 1;
+            self.credits[li * vcs + f.vc] += 1;
             self.account_drop(link, &f, Some(event));
         }
         // A packet caught half-injected at the upstream NI: the rest of
@@ -1626,37 +1765,79 @@ impl Simulator {
         // exact) and counts as one injected flit, matched by its
         // eventual ejection or drop.
         for (vc, last) in last_packet.iter().enumerate() {
-            if self.route_lock[li * vcs + vc].is_some() {
-                let tail = Flit {
-                    packet: last.unwrap_or(PacketId(u64::MAX)),
-                    flow: None,
-                    route: None,
-                    hop: 0,
-                    is_head: false,
-                    is_tail: true,
-                    vc,
-                    priority: false,
-                    injected_at: self.cycle,
-                    epoch: 0,
-                    corrupt: 0,
-                    hop_retries: 0,
-                };
-                debug_assert!(self.links[li].credits[vc] > 0, "drained buffer has space");
-                self.links[li].credits[vc] -= 1;
-                self.links[li].bufs[vc].push_back(tail);
-                self.note_buffered(li);
-                self.injected_flits_total += 1;
-                self.in_network_count += 1;
+            if self.route_lock[li * vcs + vc] != NO_LINK {
+                self.take_flush_credit(li, vc);
+                self.insert_flush_tail(link, vc, last.unwrap_or(PacketId(u64::MAX)));
             }
         }
     }
 
-    /// Removes the front flit of `(link, vc)`'s input buffer, updating
-    /// occupancy counters and returning the credit upstream.
-    fn pop_buffered(&mut self, li: usize, vc: usize) -> Flit {
-        let flit = self.links[li].bufs[vc].pop_front().expect("front exists");
+    /// Takes one credit from `(link, vc)` for a flush tail (sender-side
+    /// state).
+    fn take_flush_credit(&mut self, li: usize, vc: usize) {
+        let port = li * self.cfg.vcs + vc;
+        debug_assert!(self.credits[port] > 0, "drained buffer has space");
+        self.credits[port] -= 1;
+    }
+
+    /// Inserts `fail_link`'s synthetic flush tail into the link's input
+    /// buffer (receiver-side state; the matching credit was taken on
+    /// the sender side by [`take_flush_credit`](Simulator::take_flush_credit)).
+    fn insert_flush_tail(&mut self, link: LinkId, vc: usize, packet: PacketId) {
+        let li = link.0;
+        let tail = Flit {
+            packet,
+            flow: None,
+            route: None,
+            hop: 0,
+            is_head: false,
+            is_tail: true,
+            vc,
+            priority: false,
+            injected_at: self.cycle,
+            epoch: 0,
+            corrupt: 0,
+            hop_retries: 0,
+        };
+        self.push_input(li, tail);
+        self.injected_flits_total += 1;
+        self.in_network_count += 1;
+    }
+
+    /// Re-derives the front-table entry of `(link, vc)` from its input
+    /// buffer. The single writer of `front`: every input-buffer push
+    /// and pop goes through [`push_input`](Self::push_input) or
+    /// [`pop_input`](Self::pop_input), which call it.
+    fn refresh_front(&mut self, li: usize, vc: usize) {
+        self.front[li * self.cfg.vcs + vc] = front_code(self.links[li].bufs[vc].front());
+    }
+
+    /// Appends a flit to link `li`'s input buffer on the flit's VC,
+    /// keeping the front table and the occupancy counters in step.
+    fn push_input(&mut self, li: usize, flit: Flit) {
+        let vc = flit.vc;
+        self.links[li].bufs[vc].push_back(flit);
+        if self.links[li].bufs[vc].len() == 1 {
+            self.refresh_front(li, vc);
+        }
+        self.note_buffered(li);
+    }
+
+    /// Removes the front flit of `(link, vc)`'s input buffer, if any,
+    /// keeping the front table and the occupancy counters in step. The
+    /// credit is the caller's to return.
+    fn pop_input(&mut self, li: usize, vc: usize) -> Option<Flit> {
+        let flit = self.links[li].bufs[vc].pop_front()?;
+        self.refresh_front(li, vc);
         self.buf_count[li] -= 1;
         self.node_buffered[self.link_dst[li].0] -= 1;
+        Some(flit)
+    }
+
+    /// Removes the front flit of `(link, vc)`'s input buffer and returns
+    /// its credit upstream.
+    fn pop_buffered(&mut self, li: usize, vc: usize) -> Flit {
+        let flit = self.pop_input(li, vc).expect("front exists");
         self.return_credit(li, vc);
         flit
     }
@@ -1688,9 +1869,9 @@ impl Simulator {
 
     /// Applies the credit returns queued during the previous cycle.
     fn apply_credit_returns(&mut self) {
-        for i in 0..self.credit_returns.len() {
-            let (li, vc) = self.credit_returns[i];
-            self.links[li as usize].credits[vc as usize] += 1;
+        let vcs = self.cfg.vcs;
+        for &(li, vc) in &self.credit_returns {
+            self.credits[li as usize * vcs + vc as usize] += 1;
         }
         self.credit_returns.clear();
     }
@@ -1711,8 +1892,8 @@ impl Simulator {
     /// Accounts one flit landing in link `li`'s receive buffer and, in
     /// event mode, wakes the consumers that can now make progress: the
     /// link's eject port (if it terminates at an NI) and the receiving
-    /// switch (if it doesn't). Every site that pushes into `bufs` goes
-    /// through here.
+    /// switch (if it doesn't). Called for every input-buffer push, by
+    /// [`push_input`](Self::push_input).
     fn note_buffered(&mut self, li: usize) {
         self.buf_count[li] += 1;
         let dst = self.link_dst[li];
@@ -1741,52 +1922,43 @@ impl Simulator {
                 continue;
             }
             for vc in 0..vcs {
-                while let Some(flit) = self.links[li].bufs[vc].front() {
+                let port = li * vcs + vc;
+                while self.front[port] != FRONT_EMPTY {
                     // Followers of a beheaded stream die unconditionally
                     // (even if the link meanwhile repaired: their head
                     // is gone, the fragment can never complete).
-                    if let Some(event) = self.drop_lock[li * vcs + vc] {
-                        if flit.is_head {
+                    if let Some(event) = self.drop_lock[port] {
+                        if self.front[port] & FRONT_TARGET != FRONT_BODY {
                             break; // unreachable: the tail clears first
                         }
                         let flit = self.pop_buffered(li, vc);
                         if flit.is_tail {
-                            self.drop_lock[li * vcs + vc] = None;
+                            self.drop_lock[port] = None;
                             self.drop_locks -= 1;
                         }
                         self.account_drop(LinkId(li), &flit, Some(event));
                         continue;
                     }
-                    let desired = if flit.is_head {
-                        match flit.route.as_ref().and_then(|r| r.get(flit.hop)) {
-                            Some(&l) => l,
-                            None => break,
-                        }
-                    } else {
-                        match self.route_lock[li * vcs + vc] {
-                            Some(l) => l,
-                            None => break,
-                        }
-                    };
-                    if self.link_up[desired.0] {
+                    let desired = self.desired_output(port);
+                    if desired == NO_LINK || self.link_up[desired as usize] {
                         break;
                     }
-                    let event = self.link_down_event[desired.0];
+                    let event = self.link_down_event[desired as usize];
                     let flit = self.pop_buffered(li, vc);
                     if flit.is_head && !flit.is_tail {
                         // The head dies before allocating the output:
                         // its followers must chase the drop, not wait
                         // for an allocation that will never come.
-                        self.drop_lock[li * vcs + vc] = event;
+                        self.drop_lock[port] = event;
                         self.drop_locks += 1;
                     } else if flit.is_tail && !flit.is_head {
                         // The stream's head had claimed the dead output
                         // before it died; release the claim like a
                         // normal tail traversal would.
-                        self.owner[desired.0 * vcs + vc] = None;
-                        self.route_lock[li * vcs + vc] = None;
+                        self.owner[desired as usize * vcs + vc] = NO_LINK;
+                        self.route_lock[port] = NO_LINK;
                     }
-                    self.account_drop(desired, &flit, event);
+                    self.account_drop(LinkId(desired as usize), &flit, event);
                 }
             }
         }
@@ -1924,13 +2096,7 @@ impl Simulator {
                                 u64::from(flit.hop_retries),
                                 &mut flit,
                             );
-                            let tl = self.topo.link(LinkId(li));
-                            let crossing = if self.domains.crosses(tl.src, tl.dst) {
-                                self.cfg.sync_penalty
-                            } else {
-                                0
-                            };
-                            let arrival = cycle + self.links[li].stages as u64 + 1 + crossing;
+                            let arrival = cycle + u64::from(self.wire_latency[li]);
                             self.links[li].in_flight.push_front((arrival, flit));
                             if self.event_mode {
                                 let bucket = (arrival & self.wheel_mask) as usize;
@@ -1946,24 +2112,22 @@ impl Simulator {
                     ErrorControl::None | ErrorControl::EndToEnd => {}
                 }
             }
-            self.links[li].bufs[flit.vc].push_back(flit);
-            self.note_buffered(li);
+            self.push_input(li, flit);
         }
     }
 
     /// Phase 2 (scan): NIs consume arrived flits (up to one per VC per
     /// cycle).
     fn eject(&mut self) {
-        let cycle = self.cycle;
         for port in 0..self.adj.eject_ports.len() {
             let (ni, l) = self.adj.eject_ports[port];
             if self.buf_count[l.0] == 0 {
                 continue;
             }
-            if !self.domains.active(ni, cycle) {
+            if !self.clocked(ni) {
                 continue;
             }
-            self.eject_from_port(ni, l);
+            self.eject_from_port(l);
         }
     }
 
@@ -1976,7 +2140,6 @@ impl Simulator {
         if self.active_eject.is_empty() {
             return;
         }
-        let cycle = self.cycle;
         std::mem::swap(&mut self.active_eject, &mut self.eject_scratch);
         if self.eject_dirty {
             self.eject_scratch.sort_unstable();
@@ -1989,8 +2152,8 @@ impl Simulator {
                 self.eject_listed[port as usize] = false;
                 continue;
             }
-            if self.domains.active(ni, cycle) {
-                self.eject_from_port(ni, l);
+            if self.clocked(ni) {
+                self.eject_from_port(l);
             }
             if self.buf_count[l.0] > 0 {
                 self.active_eject.push(port);
@@ -2001,16 +2164,16 @@ impl Simulator {
         self.eject_scratch.clear();
     }
 
-    /// Consumes up to one flit per VC from eject port `(ni, l)`.
-    fn eject_from_port(&mut self, ni: NodeId, l: LinkId) {
+    /// Consumes up to one flit per VC from eject link `l`.
+    fn eject_from_port(&mut self, l: LinkId) {
         let cycle = self.cycle;
         let measuring = self.measuring();
-        for vc in 0..self.cfg.vcs {
-            let Some(flit) = self.links[l.0].bufs[vc].pop_front() else {
+        let vcs = self.cfg.vcs;
+        for vc in 0..vcs {
+            if self.front[l.0 * vcs + vc] == FRONT_EMPTY {
                 continue;
-            };
-            self.buf_count[l.0] -= 1;
-            self.node_buffered[ni.0] -= 1;
+            }
+            let flit = self.pop_input(l.0, vc).expect("front exists");
             self.return_credit(l.0, vc);
             self.ejected_flits_total += 1;
             self.in_network_count -= 1;
@@ -2126,7 +2289,6 @@ impl Simulator {
 
     /// Phase 3 (scan): switch output-port allocation and flit transfer.
     fn traverse(&mut self) {
-        let cycle = self.cycle;
         for s in 0..self.adj.switches.len() {
             let sw = self.adj.switches[s];
             // An idle switch (nothing buffered at any input) can have no
@@ -2134,7 +2296,7 @@ impl Simulator {
             if self.node_buffered[sw.0] == 0 {
                 continue;
             }
-            if !self.domains.active(sw, cycle) {
+            if !self.clocked(sw) {
                 continue;
             }
             self.arbitrate_switch(sw);
@@ -2152,7 +2314,6 @@ impl Simulator {
         if self.active_switches.is_empty() {
             return;
         }
-        let cycle = self.cycle;
         std::mem::swap(&mut self.active_switches, &mut self.switch_scratch);
         if self.switch_dirty {
             self.switch_scratch.sort_unstable();
@@ -2165,7 +2326,7 @@ impl Simulator {
                 self.switch_listed[pos as usize] = false;
                 continue;
             }
-            if self.domains.active(sw, cycle) {
+            if self.clocked(sw) {
                 self.arbitrate_switch(sw);
             }
             if self.node_buffered[sw.0] > 0 {
@@ -2177,32 +2338,32 @@ impl Simulator {
         self.switch_scratch.clear();
     }
 
-    /// The output link the front flit of `(in_l, vc)` wants, if any:
-    /// its next route hop for a head flit, the wormhole route lock for
-    /// a body/tail flit. Ownership and credit checks are *not*
-    /// applied — callers use this as a superset request filter.
-    fn desired_output(&self, in_l: LinkId, vc: usize) -> Option<LinkId> {
-        let flit = self.links[in_l.0].bufs[vc].front()?;
-        if flit.is_head {
-            flit.route.as_ref().and_then(|r| r.get(flit.hop)).copied()
-        } else {
-            self.route_lock[in_l.0 * self.cfg.vcs + vc]
+    /// The output link the front flit of input port `port` (indexed
+    /// `input link * vcs + vc`) wants, or `NO_LINK`: its next route hop
+    /// for a head flit, the wormhole route lock for a body/tail flit.
+    /// Ownership and credit checks are *not* applied — callers use this
+    /// as a superset request filter.
+    fn desired_output(&self, port: usize) -> u32 {
+        match self.front[port] & FRONT_TARGET {
+            FRONT_BODY => self.route_lock[port],
+            FRONT_EMPTY | FRONT_BAD => NO_LINK,
+            out => out,
         }
     }
 
     /// The request-mask bit (relative to `out_range`) of the front flit
-    /// of `(in_l, vc)`, or 0 when it wants no output of this switch.
-    fn request_bit(&self, in_l: LinkId, vc: usize, out_range: (usize, usize)) -> u64 {
-        match self.desired_output(in_l, vc) {
-            Some(d) => {
-                let p = self.out_pos_of[d.0] as usize;
-                if p >= out_range.0 && p < out_range.1 {
-                    1 << (p - out_range.0)
-                } else {
-                    0
-                }
-            }
-            None => 0,
+    /// of input port `port`, or 0 when it wants no output of this
+    /// switch.
+    fn request_bit(&self, port: usize, out_range: (usize, usize)) -> u64 {
+        let d = self.desired_output(port);
+        if d == NO_LINK {
+            return 0;
+        }
+        let p = self.out_pos_of[d as usize] as usize;
+        if p >= out_range.0 && p < out_range.1 {
+            1 << (p - out_range.0)
+        } else {
+            0
         }
     }
 
@@ -2240,7 +2401,7 @@ impl Simulator {
                 continue;
             }
             for vc in 0..vcs {
-                mask |= self.request_bit(in_l, vc, out_range);
+                mask |= self.request_bit(in_l.0 * vcs + vc, out_range);
             }
         }
         while mask != 0 {
@@ -2249,7 +2410,7 @@ impl Simulator {
             let out_l = self.adj.out_flat[out_start + bit as usize];
             if let Some((in_l, vc)) = self.arbitrate_output(sw, out_l) {
                 let later = u64::MAX.checked_shl(bit + 1).unwrap_or(0);
-                mask |= self.request_bit(in_l, vc, out_range) & later;
+                mask |= self.request_bit(in_l.0 * vcs + vc, out_range) & later;
             }
         }
     }
@@ -2262,14 +2423,14 @@ impl Simulator {
     /// from, so callers can track newly exposed front flits.
     fn arbitrate_output(&mut self, sw: NodeId, out_l: LinkId) -> Option<(LinkId, usize)> {
         let cycle = self.cycle;
-        if !self.link_up[out_l.0] {
+        let ol = out_l.0;
+        if !self.link_up[ol] {
             return None; // dead output: the fault-drop phase handles its flits
         }
-        if self.links[out_l.0].launched_at == cycle {
+        if self.launched_at[ol] == cycle {
             return None;
         }
-        if self.cfg.flow_control == FlowControl::AckNack && cycle < self.links[out_l.0].retry_until
-        {
+        if self.cfg.flow_control == FlowControl::AckNack && cycle < self.retry_until[ol] {
             return None;
         }
         let vcs = self.cfg.vcs;
@@ -2278,7 +2439,7 @@ impl Simulator {
         if modulus == 0 {
             return None;
         }
-        let pointer = self.rr[out_l.0] as usize % modulus;
+        let pointer = self.rr[ol] as usize % modulus;
         // Best = (cyclic distance from pointer, widx, in_l, vc).
         let mut best: Option<(usize, usize, LinkId, usize)> = None;
         let mut gt_best: Option<(usize, usize, LinkId, usize)> = None;
@@ -2288,37 +2449,38 @@ impl Simulator {
                 continue;
             }
             for vc in 0..vcs {
-                let Some(flit) = self.links[in_l.0].bufs[vc].front() else {
-                    continue;
-                };
-                let desired = if flit.is_head {
-                    match flit.route.as_ref().and_then(|r| r.get(flit.hop)) {
-                        Some(&l) => l,
-                        None => continue, // malformed route: leave buffered
-                    }
+                let port = in_l.0 * vcs + vc;
+                let code = self.front[port];
+                // Empty buffers, malformed heads (left buffered) and
+                // followers whose head is not yet allocated (`NO_LINK`)
+                // never match a real output.
+                let head = code & FRONT_TARGET != FRONT_BODY;
+                let desired = if head {
+                    code & FRONT_TARGET
                 } else {
-                    match self.route_lock[in_l.0 * vcs + vc] {
-                        Some(l) => l,
-                        None => continue, // head not yet allocated
-                    }
+                    self.route_lock[port]
                 };
-                if desired != out_l {
+                if desired != ol as u32 {
                     continue;
                 }
                 // Wormhole ownership per (output, vc).
-                let owner = self.owner[out_l.0 * vcs + vc];
-                let ok = if flit.is_head {
-                    owner.is_none()
+                let owner = self.owner[ol * vcs + vc];
+                let ok = if head {
+                    owner == NO_LINK
                 } else {
-                    owner == Some((in_l, vc))
+                    owner == in_l.0 as u32
                 };
                 if !ok {
                     continue;
                 }
                 let widx = pos * vcs + vc;
-                let key = (widx + modulus - pointer) % modulus;
+                let key = if widx >= pointer {
+                    widx - pointer
+                } else {
+                    widx + modulus - pointer
+                };
                 let cand = Some((key, widx, in_l, vc));
-                if flit.priority && gt_best.is_none_or(|(k, ..)| key < k) {
+                if code & FRONT_GT != 0 && gt_best.is_none_or(|(k, ..)| key < k) {
                     gt_best = cand;
                 }
                 if best.is_none_or(|(k, ..)| key < k) {
@@ -2336,16 +2498,16 @@ impl Simulator {
         let (_, widx, in_l, vc) = winner?;
 
         // Flow control on the output link.
-        if self.links[out_l.0].credits[vc] == 0 {
+        if self.credits[ol * vcs + vc] == 0 {
             if cycle >= self.cfg.warmup {
-                self.links[out_l.0].stalls += 1;
+                self.links[ol].stalls += 1;
             }
             if self.cfg.flow_control == FlowControl::AckNack {
                 // Failed speculative transmission: the link is busy for a
                 // round trip and the flit stays put.
-                let rt = 2 * (self.links[out_l.0].stages as u64 + 1);
-                self.links[out_l.0].retry_until = cycle + rt;
-                self.links[out_l.0].launched_at = cycle;
+                let rt = 2 * (self.links[ol].stages as u64 + 1);
+                self.retry_until[ol] = cycle + rt;
+                self.launched_at[ol] = cycle;
                 if cycle >= self.cfg.warmup {
                     self.stats.nack_retries += 1;
                 }
@@ -2354,24 +2516,22 @@ impl Simulator {
         }
 
         // Transfer.
-        let mut flit = self.links[in_l.0].bufs[vc]
-            .pop_front()
+        let mut flit = self
+            .pop_input(in_l.0, vc)
             .expect("candidate had a front flit");
-        self.buf_count[in_l.0] -= 1;
-        self.node_buffered[sw.0] -= 1;
         self.return_credit(in_l.0, vc);
         if flit.is_head {
             flit.hop += 1;
             if !flit.is_tail {
-                self.owner[out_l.0 * vcs + vc] = Some((in_l, vc));
-                self.route_lock[in_l.0 * vcs + vc] = Some(out_l);
+                self.owner[ol * vcs + vc] = in_l.0 as u32;
+                self.route_lock[in_l.0 * vcs + vc] = ol as u32;
             }
         } else if flit.is_tail {
-            self.owner[out_l.0 * vcs + vc] = None;
-            self.route_lock[in_l.0 * vcs + vc] = None;
+            self.owner[ol * vcs + vc] = NO_LINK;
+            self.route_lock[in_l.0 * vcs + vc] = NO_LINK;
         }
         self.launch(out_l, flit);
-        self.rr[out_l.0] = ((widx + 1) % modulus) as u32;
+        self.rr[ol] = ((widx + 1) % modulus) as u32;
         Some((in_l, vc))
     }
 
@@ -2520,7 +2680,7 @@ impl Simulator {
                 }
             }
         }
-        self.links[out_l.0].credits[flit.vc] > 0
+        self.credits[out_l.0 * self.cfg.vcs + flit.vc] > 0
     }
 
     /// Phase 4b (scan): every NI with sources tries to inject one flit.
@@ -2564,18 +2724,17 @@ impl Simulator {
     /// Tries to inject one flit at `ni` this cycle.
     fn inject_at(&mut self, ni: NodeId) {
         let cycle = self.cycle;
-        if !self.domains.active(ni, cycle) {
+        if !self.clocked(ni) {
             return;
         }
         let out_l = self.adj.out_flat[self.adj.out_start[ni.0]];
         if !self.link_up[out_l.0] {
             return; // faulted injection link: packets wait queued
         }
-        if self.links[out_l.0].launched_at == cycle {
+        if self.launched_at[out_l.0] == cycle {
             return;
         }
-        if self.cfg.flow_control == FlowControl::AckNack && cycle < self.links[out_l.0].retry_until
-        {
+        if self.cfg.flow_control == FlowControl::AckNack && cycle < self.retry_until[out_l.0] {
             return;
         }
         // GT-eligible sources first, then round-robin among the
@@ -2652,18 +2811,12 @@ impl Simulator {
     /// domain-crossing links).
     fn launch(&mut self, link: LinkId, mut flit: Flit) {
         let cycle = self.cycle;
-        let l = &mut self.links[link.0];
-        debug_assert!(l.credits[flit.vc] > 0, "launch without credit");
-        debug_assert_ne!(l.launched_at, cycle, "two launches in one cycle");
-        l.credits[flit.vc] -= 1;
-        l.launched_at = cycle;
-        let topo_link = self.topo.link(link);
-        let crossing = if self.domains.crosses(topo_link.src, topo_link.dst) {
-            self.cfg.sync_penalty
-        } else {
-            0
-        };
-        let arrival = cycle + l.stages as u64 + 1 + crossing;
+        let port = link.0 * self.cfg.vcs + flit.vc;
+        debug_assert!(self.credits[port] > 0, "launch without credit");
+        debug_assert_ne!(self.launched_at[link.0], cycle, "two launches in one cycle");
+        self.credits[port] -= 1;
+        self.launched_at[link.0] = cycle;
+        let arrival = cycle + u64::from(self.wire_latency[link.0]);
         if self.corrupt_enabled {
             self.corrupt_roll(link, cycle, 0, &mut flit);
         }
@@ -2690,8 +2843,7 @@ impl Simulator {
                 return;
             }
         }
-        let l = &mut self.links[link.0];
-        l.in_flight.push_back((arrival, flit));
+        self.links[link.0].in_flight.push_back((arrival, flit));
         if self.event_mode {
             // Schedule the delivery on the calendar wheel. The wheel is
             // strictly larger than any link latency, so the bucket the
@@ -2746,9 +2898,6 @@ impl Simulator {
         }
     }
 }
-
-// `launch` uses `self.links` and `self.topo` disjointly; the borrow is
-// split manually above by indexing. (No unsafe involved.)
 
 // ---------------------------------------------------------------------
 // Partitioned-engine plumbing (crate-internal; see `crate::partition`).
@@ -2907,14 +3056,10 @@ impl Simulator {
     /// order. The parent returns their credits to the sender shard and
     /// feeds the retransmit layer.
     pub(crate) fn part_fail_drain(&mut self, link: LinkId, event: usize) -> Vec<Flit> {
-        let vcs = self.cfg.vcs;
         let li = link.0;
-        let dst = self.link_dst[li];
         let mut doomed: Vec<Flit> = Vec::new();
-        for vc in 0..vcs {
-            while let Some(f) = self.links[li].bufs[vc].pop_front() {
-                self.buf_count[li] -= 1;
-                self.node_buffered[dst.0] -= 1;
+        for vc in 0..self.cfg.vcs {
+            while let Some(f) = self.pop_input(li, vc) {
                 doomed.push(f);
             }
         }
@@ -2930,8 +3075,8 @@ impl Simulator {
 
     /// Restores `n` credits on `(link, vc)` immediately (control-phase
     /// credit motion, like the serial `fail_link` drain).
-    pub(crate) fn part_add_credits(&mut self, li: usize, vc: usize, n: usize) {
-        self.links[li].credits[vc] += n;
+    pub(crate) fn part_add_credits(&mut self, li: usize, vc: usize, n: u32) {
+        self.credits[li * self.cfg.vcs + vc] += n;
     }
 
     /// Shard side of `fail_link`'s upstream purge: removes the rest of
@@ -2965,39 +3110,7 @@ impl Simulator {
     /// Whether `(link, vc)` holds a wormhole route lock (receiver-shard
     /// state; `fail_link` flushes such streams with a synthetic tail).
     pub(crate) fn part_route_locked(&self, li: usize, vc: usize) -> bool {
-        self.route_lock[li * self.cfg.vcs + vc].is_some()
-    }
-
-    /// Takes one credit from `(link, vc)` for a flush tail
-    /// (sender-shard state).
-    pub(crate) fn part_take_credit(&mut self, li: usize, vc: usize) {
-        debug_assert!(self.links[li].credits[vc] > 0, "drained buffer has space");
-        self.links[li].credits[vc] -= 1;
-    }
-
-    /// Inserts `fail_link`'s synthetic flush tail into the receiver
-    /// shard's input buffer (the matching credit was taken on the
-    /// sender shard by [`part_take_credit`](Simulator::part_take_credit)).
-    pub(crate) fn part_insert_flush_tail(&mut self, link: LinkId, vc: usize, packet: PacketId) {
-        let li = link.0;
-        let tail = Flit {
-            packet,
-            flow: None,
-            route: None,
-            hop: 0,
-            is_head: false,
-            is_tail: true,
-            vc,
-            priority: false,
-            injected_at: self.cycle,
-            epoch: 0,
-            corrupt: 0,
-            hop_retries: 0,
-        };
-        self.links[li].bufs[vc].push_back(tail);
-        self.note_buffered(li);
-        self.injected_flits_total += 1;
-        self.in_network_count += 1;
+        self.route_lock[li * self.cfg.vcs + vc] != NO_LINK
     }
 
     /// The quiesce check of `commit_ready_swaps`, on the shard owning
@@ -3290,8 +3403,8 @@ impl Simulator {
         }
         for (vc, last) in last_packet.iter().enumerate() {
             if shards[ds].part_route_locked(li, vc) {
-                shards[ss].part_take_credit(li, vc);
-                shards[ds].part_insert_flush_tail(link, vc, last.unwrap_or(PacketId(u64::MAX)));
+                shards[ss].take_flush_credit(li, vc);
+                shards[ds].insert_flush_tail(link, vc, last.unwrap_or(PacketId(u64::MAX)));
             }
         }
     }
@@ -3616,15 +3729,9 @@ mod tests {
                 .with_sync_penalty(penalty);
             let mut sim = Simulator::new(t.clone(), cfg);
             if domains {
-                // Put every node in its own domain (all divider 1) so
+                // Every node in its own domain (all divider 1), so
                 // every link crosses.
-                let mut map_topo = t.clone();
-                let _ = &mut map_topo;
-                // Build a domain map by abusing from_islands is complex
-                // here; emulate with a handcrafted map.
-                let n = t.nodes().len();
-                let domains = crate::gals::DomainMap::per_node_for_tests(n);
-                sim.set_domains(domains);
+                sim.set_domains(DomainMap::per_node(t.nodes().len()));
             }
             sim.add_source(one_shot_source(ni0, route.clone(), 1));
             sim.run(40);
@@ -3635,6 +3742,72 @@ mod tests {
         assert_eq!(sync, route.len() as u64);
         // 3 crossings x 2 cycles penalty.
         assert_eq!(gals, route.len() as u64 + 6);
+    }
+
+    #[test]
+    fn wire_latency_follows_the_current_domain_map() {
+        let (t, ni0, _, route) = line();
+        let cfg = SimConfig::default().with_warmup(0).with_sync_penalty(2);
+        // Swapped back before the first step: no crossing remains.
+        let mut sim = Simulator::new(t.clone(), cfg);
+        sim.set_domains(DomainMap::per_node(t.nodes().len()));
+        sim.set_domains(DomainMap::single_domain(&t));
+        sim.add_source(one_shot_source(ni0, route.clone(), 1));
+        sim.run(40);
+        assert_eq!(sim.stats().flows[&FlowId(0)].total_latency, 3);
+        // Swapped mid-run: the packet sent under the per-node map pays
+        // 3 crossings x 2 cycles; the one sent after the swap back
+        // pays none.
+        let mut sim = Simulator::new(t.clone(), cfg);
+        sim.set_domains(DomainMap::per_node(t.nodes().len()));
+        sim.add_source(streaming_source(ni0, route.clone(), 1, 100));
+        sim.run(50);
+        assert_eq!(sim.stats().flows[&FlowId(0)].total_latency, 9);
+        sim.set_domains(DomainMap::single_domain(&t));
+        sim.run(100);
+        let fs = &sim.stats().flows[&FlowId(0)];
+        assert_eq!(fs.delivered_packets, 2);
+        assert_eq!(fs.total_latency, 9 + 3);
+        assert!(sim.drain(100) && sim.credits_restored());
+    }
+
+    #[test]
+    fn link_level_resend_on_a_crossing_link_pays_one_wire_latency() {
+        let (t, ni0, _, route) = line();
+        let penalty = 2;
+        let run = |corrupt: bool| {
+            let cfg = SimConfig::default()
+                .with_warmup(0)
+                .with_sync_penalty(penalty)
+                .with_error_control(ErrorControl::LinkLevel);
+            let mut sim = Simulator::new(t.clone(), cfg);
+            sim.set_domains(DomainMap::per_node(t.nodes().len()));
+            sim.add_source(one_shot_source(ni0, route.clone(), 1));
+            if corrupt {
+                // The head launches onto the middle link at cycle
+                // 1 + penalty: that crossing corrupts, the re-send
+                // (rolled at its arrival) is clean.
+                let window = Some(penalty + 2);
+                sim.set_fault_plan(&corruption_plan(route[1], 0, window, 1_000_000, 0))
+                    .expect("valid link");
+            }
+            sim.run(60);
+            assert!(sim.credits_restored());
+            let s = sim.stats();
+            (
+                s.flows[&FlowId(0)].total_latency,
+                s.error_control.hop_retries,
+            )
+        };
+        let (clean, clean_retries) = run(false);
+        let (resent, retries) = run(true);
+        assert_eq!(clean, 3 * (1 + penalty));
+        assert_eq!((clean_retries, retries), (0, 1));
+        assert_eq!(
+            resent,
+            clean + 1 + penalty,
+            "the re-send crosses the synchronizer like a fresh launch"
+        );
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl DomainMap {
         }
     }
 
-    #[doc(hidden)]
-    pub fn per_node_for_tests(node_count: usize) -> DomainMap {
-        DomainMap::per_node(node_count)
-    }
-
     /// The domain index of a node.
     pub fn domain(&self, node: NodeId) -> usize {
         self.domain_of[node.0]
@@ -185,6 +180,12 @@ impl DomainMap {
     /// Whether `node` is clocked on `cycle` (fast-clock cycles).
     pub fn active(&self, node: NodeId, cycle: u64) -> bool {
         cycle.is_multiple_of(self.divider_of_domain[self.domain_of[node.0]] as u64)
+    }
+
+    /// Whether any domain runs at a divided clock, i.e. whether
+    /// [`active`](DomainMap::active) can ever be false.
+    pub fn divided(&self) -> bool {
+        self.divider_of_domain.iter().any(|&d| d != 1)
     }
 
     /// Whether a link crosses between two domains.
@@ -243,6 +244,8 @@ mod tests {
         assert_eq!(d.domain_count(), 1);
         assert_eq!(d.crossing_count(&m.topology), 0);
         assert!(d.active(NodeId(0), 17));
+        assert!(!d.divided());
+        assert!(!DomainMap::per_node(4).divided());
     }
 
     #[test]
@@ -307,6 +310,7 @@ mod tests {
         let mut dividers = BTreeMap::new();
         dividers.insert(noc_spec::IslandId(0), 2);
         let d = DomainMap::from_islands(&spec, &m.topology, &dividers);
+        assert!(d.divided());
         let node = NodeId(0);
         assert!(d.active(node, 0));
         assert!(!d.active(node, 1));

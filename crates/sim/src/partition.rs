@@ -403,6 +403,43 @@ impl PartitionedSimulator {
         self.shards.iter().all(Simulator::credits_restored)
     }
 
+    /// Audits every shard's dense port state (see
+    /// [`Simulator::audit_port_state`]) and checks credit conservation
+    /// across shards: each port's credits, kept by the shard of its
+    /// sender, plus the slots it holds on any shard equal the buffer
+    /// depth. Call between steps. Test/diagnostic use.
+    #[doc(hidden)]
+    pub fn audit_port_state(&self) -> Result<(), String> {
+        if let Some(m) = &self.master {
+            return m.audit_port_state();
+        }
+        let parent = self.parent.as_ref().expect("split");
+        let (vcs, depth) = (parent.config().vcs, parent.config().buffer_depth);
+        let mut held: Vec<u32> = Vec::new();
+        for (i, sh) in self.shards.iter().enumerate() {
+            sh.audit_port_state()
+                .map_err(|e| format!("shard {i}: {e}"))?;
+            let h = sh.port_holdings();
+            held.resize(h.len(), 0);
+            for (sum, x) in held.iter_mut().zip(h) {
+                *sum += x;
+            }
+        }
+        for (li, l) in parent.part_topology().links().iter().enumerate() {
+            let sender = &self.shards[self.shard_of_node[l.src.0] as usize];
+            for vc in 0..vcs {
+                let credits = sender.port_credits(li, vc) as usize;
+                let held = held[li * vcs + vc] as usize;
+                if credits + held != depth {
+                    return Err(format!(
+                        "link {li} vc {vc}: {credits} credits + {held} held slots != depth {depth}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The merged statistics: the parent's control-plane aggregates
     /// (detections, reroutes, retransmit/restore bookkeeping) plus
     /// every shard's data-plane counters. `measured_cycles` is the

@@ -74,11 +74,16 @@ tier1() {
   cargo test "${CARGO_FLAGS[@]}" -q
   # The debug run above already includes the three-way engine parity
   # suite — scan == event == partitioned at 1/2/4/8 workers, incl.
-  # faults, online recovery, GALS and TDMA (with conservation
-  # debug_asserts armed); repeat it in release so the exact
+  # faults, online recovery, GALS and TDMA (with the conservation
+  # audit armed); repeat it in release so the exact
   # configuration users run is also proven bit-identical.
   echo "==> tier-1: engine parity (release)"
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test engine_parity
+  # The port-state and flit-conservation audit after every cycle, in
+  # release: proves the release configuration passes the audits that
+  # debug builds also run whenever stats finalize.
+  echo "==> tier-1: port-state audit (release)"
+  cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test port_state
 }
 
 smoke() {

@@ -62,15 +62,7 @@ fn bench_simulator(c: &mut Criterion) {
 /// at moderate load, with all setup hoisted out of the measurement.
 /// This is the number the hot-path optimization work tracks.
 fn bench_step_throughput(c: &mut Criterion) {
-    let (rows, cols) = (8usize, 10usize);
-    let cores: Vec<CoreId> = (0..rows * cols).map(CoreId).collect();
-    let fabric = mesh(rows, cols, &cores, 32).expect("valid");
-    let sources = patterns::uniform_random(&fabric, 0.1, 4).expect("in range");
-    let mut sim = Simulator::new(fabric.topology, SimConfig::default().with_warmup(100));
-    for s in sources {
-        sim.add_source(s);
-    }
-    sim.run(1_000); // reach steady state before measuring
+    let mut sim = noc_bench::warm_8x10_sim(SimConfig::default().with_warmup(100), None);
     c.bench_function("fig4/step_throughput_8x10", |b| {
         b.iter(|| {
             sim.step();
@@ -85,16 +77,8 @@ fn bench_step_throughput(c: &mut Criterion) {
 /// fault-free hot path nothing beyond a few emptiness checks, so this
 /// must track `fig4/step_throughput_8x10` within the noise band.
 fn bench_step_throughput_recovery(c: &mut Criterion) {
-    let (rows, cols) = (8usize, 10usize);
-    let cores: Vec<CoreId> = (0..rows * cols).map(CoreId).collect();
-    let fabric = mesh(rows, cols, &cores, 32).expect("valid");
-    let sources = patterns::uniform_random(&fabric, 0.1, 4).expect("in range");
-    let mut sim = Simulator::new(fabric.topology, SimConfig::default().with_warmup(100));
-    for s in sources {
-        sim.add_source(s);
-    }
-    sim.enable_recovery(noc_spec::fault::RecoveryConfig::default());
-    sim.run(1_000); // reach steady state before measuring
+    let recovery = noc_spec::fault::RecoveryConfig::default();
+    let mut sim = noc_bench::warm_8x10_sim(SimConfig::default().with_warmup(100), Some(recovery));
     c.bench_function("fig4/step_throughput_8x10_recovery", |b| {
         b.iter(|| {
             sim.step();
@@ -110,18 +94,10 @@ fn bench_step_throughput_recovery(c: &mut Criterion) {
 /// so this must track `fig4/step_throughput_8x10` within the noise
 /// band.
 fn bench_step_throughput_errctl_off(c: &mut Criterion) {
-    let (rows, cols) = (8usize, 10usize);
-    let cores: Vec<CoreId> = (0..rows * cols).map(CoreId).collect();
-    let fabric = mesh(rows, cols, &cores, 32).expect("valid");
-    let sources = patterns::uniform_random(&fabric, 0.1, 4).expect("in range");
     let cfg = SimConfig::default()
         .with_warmup(100)
         .with_error_control(noc_sim::config::ErrorControl::EndToEnd);
-    let mut sim = Simulator::new(fabric.topology, cfg);
-    for s in sources {
-        sim.add_source(s);
-    }
-    sim.run(1_000); // reach steady state before measuring
+    let mut sim = noc_bench::warm_8x10_sim(cfg, None);
     c.bench_function("fig4/step_throughput_8x10_errctl_off", |b| {
         b.iter(|| {
             sim.step();

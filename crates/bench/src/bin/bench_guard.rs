@@ -38,13 +38,9 @@
 
 use noc_floorplan::core_plan::CoreFloorplan;
 use noc_sim::config::SimConfig;
-use noc_sim::engine::Simulator;
-use noc_sim::patterns;
 use noc_spec::presets;
 use noc_spec::units::Hertz;
-use noc_spec::CoreId;
 use noc_synth::sunfloor::{synthesize_min_power, SynthesisConfig};
-use noc_topology::generators::mesh;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -141,28 +137,8 @@ fn baseline_for(text: &str, name: &str) -> Result<(f64, f64), String> {
 /// One warm `step()` on the 8×10 mesh at 0.1 flits/cycle/node — the
 /// exact `fig4/step_throughput_8x10` setup.
 fn measure_step_us() -> f64 {
-    const ROUNDS: usize = 5;
-    const STEPS_PER_ROUND: u64 = 2_000;
-    let (rows, cols) = (8usize, 10usize);
-    let cores: Vec<CoreId> = (0..rows * cols).map(CoreId).collect();
-    let fabric = mesh(rows, cols, &cores, 32).expect("valid");
-    let sources = patterns::uniform_random(&fabric, 0.1, 4).expect("in range");
-    let mut sim = Simulator::new(fabric.topology, SimConfig::default().with_warmup(100));
-    for s in sources {
-        sim.add_source(s);
-    }
-    sim.run(1_000); // reach steady state before measuring
-    let mut best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let t0 = Instant::now();
-        for _ in 0..STEPS_PER_ROUND {
-            sim.step();
-            std::hint::black_box(sim.stats().total_delivered_flits);
-        }
-        let us = t0.elapsed().as_secs_f64() * 1e6 / STEPS_PER_ROUND as f64;
-        best = best.min(us);
-    }
-    best
+    let mut sim = noc_bench::warm_8x10_sim(SimConfig::default().with_warmup(100), None);
+    noc_bench::step_us(&mut sim, 5, 2_000)
 }
 
 /// Like `measure_step_us`, but with the online-recovery machinery
@@ -170,29 +146,9 @@ fn measure_step_us() -> f64 {
 /// setup. Guards the contract that arming recovery costs the
 /// fault-free hot path only emptiness checks.
 fn measure_step_recovery_us() -> f64 {
-    const ROUNDS: usize = 5;
-    const STEPS_PER_ROUND: u64 = 2_000;
-    let (rows, cols) = (8usize, 10usize);
-    let cores: Vec<CoreId> = (0..rows * cols).map(CoreId).collect();
-    let fabric = mesh(rows, cols, &cores, 32).expect("valid");
-    let sources = patterns::uniform_random(&fabric, 0.1, 4).expect("in range");
-    let mut sim = Simulator::new(fabric.topology, SimConfig::default().with_warmup(100));
-    for s in sources {
-        sim.add_source(s);
-    }
-    sim.enable_recovery(noc_spec::fault::RecoveryConfig::default());
-    sim.run(1_000); // reach steady state before measuring
-    let mut best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let t0 = Instant::now();
-        for _ in 0..STEPS_PER_ROUND {
-            sim.step();
-            std::hint::black_box(sim.stats().total_delivered_flits);
-        }
-        let us = t0.elapsed().as_secs_f64() * 1e6 / STEPS_PER_ROUND as f64;
-        best = best.min(us);
-    }
-    best
+    let recovery = noc_spec::fault::RecoveryConfig::default();
+    let mut sim = noc_bench::warm_8x10_sim(SimConfig::default().with_warmup(100), Some(recovery));
+    noc_bench::step_us(&mut sim, 5, 2_000)
 }
 
 /// Like `measure_step_us`, but with an `ErrorControl` protection
@@ -201,31 +157,11 @@ fn measure_step_recovery_us() -> f64 {
 /// that selecting a scheme costs the clean-traffic hot path only a
 /// disabled-branch check at launch and a zero-flag check at delivery.
 fn measure_step_errctl_off_us() -> f64 {
-    const ROUNDS: usize = 5;
-    const STEPS_PER_ROUND: u64 = 2_000;
-    let (rows, cols) = (8usize, 10usize);
-    let cores: Vec<CoreId> = (0..rows * cols).map(CoreId).collect();
-    let fabric = mesh(rows, cols, &cores, 32).expect("valid");
-    let sources = patterns::uniform_random(&fabric, 0.1, 4).expect("in range");
     let cfg = SimConfig::default()
         .with_warmup(100)
         .with_error_control(noc_sim::config::ErrorControl::EndToEnd);
-    let mut sim = Simulator::new(fabric.topology, cfg);
-    for s in sources {
-        sim.add_source(s);
-    }
-    sim.run(1_000); // reach steady state before measuring
-    let mut best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let t0 = Instant::now();
-        for _ in 0..STEPS_PER_ROUND {
-            sim.step();
-            std::hint::black_box(sim.stats().total_delivered_flits);
-        }
-        let us = t0.elapsed().as_secs_f64() * 1e6 / STEPS_PER_ROUND as f64;
-        best = best.min(us);
-    }
-    best
+    let mut sim = noc_bench::warm_8x10_sim(cfg, None);
+    noc_bench::step_us(&mut sim, 5, 2_000)
 }
 
 /// One warm `step()` on a 32×32 nearest-neighbor mesh at 2% clocked

@@ -70,12 +70,7 @@ pub fn stress_floorplan(
 ) {
     // SplitMix64 as the dimension/net hash: fully deterministic, no RNG
     // state threaded through the callers.
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    let mix = |z: u64| noc::par::point_seed(z, 0);
     let blocks = (0..n)
         .map(|i| {
             let h = mix(i as u64);
@@ -138,6 +133,33 @@ pub fn step_scaling_sim(
     pattern: StepPattern,
     scan_engine: bool,
 ) -> noc_sim::engine::Simulator {
+    let (topology, sources) = step_scaling_setup(n, rate, pattern);
+    let sim = noc_sim::engine::Simulator::new(
+        topology,
+        noc_sim::config::SimConfig::default().with_warmup(100),
+    );
+    let mut sim = if scan_engine {
+        sim.with_scan_engine()
+    } else {
+        sim
+    };
+    for s in sources {
+        sim.add_source(s);
+    }
+    sim.run(1_000); // reach steady state before measuring
+    sim
+}
+
+/// The fabric and clocked sources of the step-scaling scenario (see
+/// [`step_scaling_sim`]), shared by its serial and partitioned twins.
+fn step_scaling_setup(
+    n: usize,
+    rate: f64,
+    pattern: StepPattern,
+) -> (
+    noc_topology::graph::Topology,
+    Vec<noc_sim::traffic::TrafficSource>,
+) {
     use noc_sim::traffic::InjectionProcess;
     let cores: Vec<noc_spec::CoreId> = (0..n * n).map(noc_spec::CoreId).collect();
     let fabric = noc_topology::generators::mesh(n, n, &cores, 32).expect("valid shape");
@@ -153,17 +175,27 @@ pub fn step_scaling_sim(
         s.process =
             InjectionProcess::from_shape(noc_spec::TrafficShape::Constant, rate / 4.0, 4, i as u64);
     }
-    let sim = noc_sim::engine::Simulator::new(
-        fabric.topology,
-        noc_sim::config::SimConfig::default().with_warmup(100),
-    );
-    let mut sim = if scan_engine {
-        sim.with_scan_engine()
-    } else {
-        sim
-    };
+    (fabric.topology, sources)
+}
+
+/// Warmed-up Teraflops-scale 8×10 mesh under uniform-random traffic at
+/// 0.1 flits/cycle/node — the shared setup of the
+/// `fig4/step_throughput_8x10*` guard pins and criterion benches. `cfg`
+/// picks the variant (e.g. a selected `ErrorControl` scheme);
+/// `recovery` arms the online-recovery machinery.
+pub fn warm_8x10_sim(
+    cfg: noc_sim::config::SimConfig,
+    recovery: Option<noc_spec::fault::RecoveryConfig>,
+) -> noc_sim::engine::Simulator {
+    let cores: Vec<noc_spec::CoreId> = (0..80).map(noc_spec::CoreId).collect();
+    let fabric = noc_topology::generators::mesh(8, 10, &cores, 32).expect("valid shape");
+    let sources = noc_sim::patterns::uniform_random(&fabric, 0.1, 4).expect("rate in range");
+    let mut sim = noc_sim::engine::Simulator::new(fabric.topology, cfg);
     for s in sources {
         sim.add_source(s);
+    }
+    if let Some(r) = recovery {
+        sim.enable_recovery(r);
     }
     sim.run(1_000); // reach steady state before measuring
     sim
@@ -195,23 +227,9 @@ pub fn step_scaling_sim_partitioned(
     pattern: StepPattern,
     workers: usize,
 ) -> noc_sim::partition::PartitionedSimulator {
-    use noc_sim::traffic::InjectionProcess;
-    let cores: Vec<noc_spec::CoreId> = (0..n * n).map(noc_spec::CoreId).collect();
-    let fabric = noc_topology::generators::mesh(n, n, &cores, 32).expect("valid shape");
-    let mut sources = match pattern {
-        StepPattern::NearestNeighbor => {
-            noc_sim::patterns::nearest_neighbor(&fabric, rate, 4).expect("rate in range")
-        }
-        StepPattern::Transpose => {
-            noc_sim::patterns::transpose(&fabric, rate, 4).expect("rate in range")
-        }
-    };
-    for (i, s) in sources.iter_mut().enumerate() {
-        s.process =
-            InjectionProcess::from_shape(noc_spec::TrafficShape::Constant, rate / 4.0, 4, i as u64);
-    }
+    let (topology, sources) = step_scaling_setup(n, rate, pattern);
     let mut sim = noc_sim::partition::PartitionedSimulator::new(
-        fabric.topology,
+        topology,
         noc_sim::config::SimConfig::default()
             .with_warmup(100)
             .with_partitioned_engine(workers),

@@ -355,6 +355,73 @@ pub(crate) struct PartCtx {
     pub(crate) out: BoundaryOutbox,
 }
 
+/// Where a control phase finds node-owned state (input buffers, wires,
+/// credits, source slots and queues): on the simulator running the
+/// phase, or — for a partitioned run's parent — on the shard owning
+/// each node. Control-plane bookkeeping (fault cursor, watchdogs,
+/// pending swaps, the retransmit map, the epoch and the recovery
+/// statistics) always stays on the simulator running the phase, so each
+/// control phase has one implementation for both engines.
+pub(crate) enum Owners<'a> {
+    /// The simulator running the phase owns every node (serial engine).
+    Own,
+    /// Node `n` lives on `shards[shard_of_node[n]]` (partitioned parent).
+    Shards {
+        shards: &'a mut [Simulator],
+        shard_of_node: &'a [u32],
+    },
+}
+
+impl Owners<'_> {
+    /// The simulator owning `node`'s state: `control` itself, or the
+    /// node's shard.
+    pub(crate) fn of<'s>(
+        &'s mut self,
+        control: &'s mut Simulator,
+        node: NodeId,
+    ) -> &'s mut Simulator {
+        match self {
+            Owners::Own => control,
+            Owners::Shards {
+                shards,
+                shard_of_node,
+            } => &mut shards[shard_of_node[node.0] as usize],
+        }
+    }
+
+    /// Every simulator holding a replica of cycle-global state (link
+    /// up/down, the routing epoch, the generation switch): `control`,
+    /// then each shard.
+    pub(crate) fn all<'s>(
+        &'s mut self,
+        control: &'s mut Simulator,
+    ) -> impl Iterator<Item = &'s mut Simulator> {
+        let shards: &'s mut [Simulator] = match self {
+            Owners::Own => &mut [],
+            Owners::Shards { shards, .. } => shards,
+        };
+        std::iter::once(control).chain(shards.iter_mut())
+    }
+
+    /// The simulators holding `node`'s source slots: the owner and, in
+    /// a partitioned run, `control`'s replica slots, which `sources()`
+    /// reports.
+    fn slots_of<'s>(
+        &'s mut self,
+        control: &'s mut Simulator,
+        node: NodeId,
+    ) -> impl Iterator<Item = &'s mut Simulator> {
+        let (owner, replica) = match self {
+            Owners::Own => (control, None),
+            Owners::Shards {
+                shards,
+                shard_of_node,
+            } => (&mut shards[shard_of_node[node.0] as usize], Some(control)),
+        };
+        std::iter::once(owner).chain(replica)
+    }
+}
+
 /// The flit-level simulator.
 ///
 /// ```
@@ -619,6 +686,30 @@ fn push_active(list: &mut Vec<u32>, dirty: &mut bool, v: u32) {
         *dirty = true;
     }
     list.push(v);
+}
+
+/// Flit conservation, the audit shared by the serial and partitioned
+/// engines: the maintained in-network count matches a recount of the
+/// buffers and wires, and every flit that entered the fabric was
+/// ejected, destroyed by a fault, or is still inside.
+pub(crate) fn check_conservation(
+    injected: u64,
+    ejected: u64,
+    dropped: u64,
+    in_network: i64,
+    recount: usize,
+) -> Result<(), String> {
+    if in_network != recount as i64 {
+        return Err(format!(
+            "in-network count {in_network} but {recount} flits in buffers and wires"
+        ));
+    }
+    if injected != ejected + dropped + recount as u64 {
+        return Err(format!(
+            "{injected} flits injected != {ejected} ejected + {dropped} dropped + {recount} inside"
+        ));
+    }
+    Ok(())
 }
 
 impl Simulator {
@@ -1105,11 +1196,7 @@ impl Simulator {
         count_rerouted: bool,
     ) {
         let delay = self.cfg.recovery.map_or(0, |r| r.reroute_delay);
-        for slot in &mut self.sources {
-            if slot.source.ni == ni && slot.source.flow == flow {
-                slot.swap_pending = true;
-            }
-        }
+        self.quiesce_flow(ni, flow);
         // The newest request for a (ni, flow) wins: drop a stale one.
         self.pending_swaps
             .retain(|p| !(p.ni == ni && p.flow == flow));
@@ -1122,6 +1209,22 @@ impl Simulator {
             not_before: self.cycle + delay,
             count_rerouted,
         });
+    }
+
+    /// Quiesces `(ni, flow)` for a requested hot-swap: no new packet of
+    /// the flow may start injecting until the swap commits.
+    pub(crate) fn quiesce_flow(&mut self, ni: NodeId, flow: FlowId) {
+        self.for_flow_slots(ni, flow, |slot| slot.swap_pending = true);
+    }
+
+    /// Runs `f` on every source slot of `flow` at `ni`.
+    fn for_flow_slots(&mut self, ni: NodeId, flow: FlowId, mut f: impl FnMut(&mut SourceSlot)) {
+        for &si in &self.sources_by_ni[ni.0] {
+            let slot = &mut self.sources[si];
+            if slot.source.flow == flow {
+                f(slot);
+            }
+        }
     }
 
     /// Schedules the down-detection watchdog for a link that just
@@ -1230,77 +1333,81 @@ impl Simulator {
     /// Commits every pending hot-swap whose flow has quiesced (no packet
     /// of the flow mid-wormhole at its NI) and whose reroute delay has
     /// elapsed. The epoch bumps once per cycle with at least one commit.
-    fn commit_ready_swaps(&mut self) {
+    fn commit_ready_swaps(&mut self, owners: &mut Owners) {
         let cycle = self.cycle;
-        let vcs = self.cfg.vcs;
         let mut bumped = false;
         let mut i = 0;
         while i < self.pending_swaps.len() {
             let p = &self.pending_swaps[i];
-            if cycle < p.not_before {
-                i += 1;
-                continue;
-            }
-            let busy = self.sources_by_ni[p.ni.0].iter().any(|&si| {
-                self.sources[si].source.flow == p.flow
-                    && (0..vcs).any(|vc| self.ni_wormhole[p.ni.0 * vcs + vc] == Some(si))
-            });
-            if busy {
+            let (ni, flow) = (p.ni, p.flow);
+            if cycle < p.not_before || owners.of(self, ni).flow_busy(ni, flow) {
                 i += 1;
                 continue;
             }
             let p = self.pending_swaps.remove(i);
             if !bumped {
-                self.epoch += 1;
+                let epoch = self.epoch + 1;
+                for sim in owners.all(self) {
+                    sim.epoch = epoch;
+                }
                 self.stats.recovery.epoch_swaps += 1;
                 bumped = true;
             }
-            let new_epoch = self.epoch;
-            let slots: Vec<usize> = self.sources_by_ni[p.ni.0]
-                .iter()
-                .copied()
-                .filter(|&si| self.sources[si].source.flow == p.flow)
-                .collect();
-            for si in slots {
-                self.sources[si].source.destination = p.destination.clone();
-                self.sources[si].rerouted = p.count_rerouted;
-                self.sources[si].swap_pending = false;
-                // Queued packets have not entered the fabric: re-route
-                // them through the new tables under the new epoch.
-                let mut queue = std::mem::take(&mut self.sources[si].queue);
-                for f in &mut queue {
-                    f.epoch = new_epoch;
-                    if f.is_head {
-                        // Re-pick draws from the owning source's stream:
-                        // swap-time re-routing consumes the same stream
-                        // a fresh generation at this slot would.
-                        f.route = Some(p.destination.pick(&mut self.sources[si].rng));
-                        f.hop = 1;
-                    }
-                }
-                self.sources[si].queue = queue;
+            for sim in owners.slots_of(self, ni) {
+                sim.for_flow_slots(ni, flow, |slot| {
+                    slot.source.destination = p.destination.clone();
+                    slot.rerouted = p.count_rerouted;
+                    slot.swap_pending = false;
+                });
             }
+            owners.of(self, ni).reroute_queued(ni, flow, &p.destination);
             let latency = cycle.saturating_sub(p.detected_at);
             let r = &mut self.stats.recovery;
             r.reroutes_installed += 1;
             r.reroute_latency_total += latency;
             r.reroute_latency_max = r.reroute_latency_max.max(latency);
             if p.count_rerouted {
-                self.restore_pending
-                    .insert(p.flow, (p.failed_at, new_epoch));
+                self.restore_pending.insert(flow, (p.failed_at, self.epoch));
             } else {
-                self.restore_pending.remove(&p.flow);
+                self.restore_pending.remove(&flow);
             }
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent {
                     cycle,
                     kind: TraceKind::EpochSwap,
-                    packet: PacketId(new_epoch),
-                    flow: Some(p.flow),
+                    packet: PacketId(self.epoch),
+                    flow: Some(flow),
                     link: None,
                 });
             }
         }
+    }
+
+    /// Whether a packet of `flow` is still mid-wormhole at `ni` (the
+    /// quiesce check of a pending hot-swap).
+    fn flow_busy(&self, ni: NodeId, flow: FlowId) -> bool {
+        let vcs = self.cfg.vcs;
+        self.sources_by_ni[ni.0].iter().any(|&si| {
+            self.sources[si].source.flow == flow
+                && (0..vcs).any(|vc| self.ni_wormhole[ni.0 * vcs + vc] == Some(si))
+        })
+    }
+
+    /// Re-routes the queued packets of `(ni, flow)` through
+    /// `destination` under the current epoch: they have not entered the
+    /// fabric yet. Each re-pick draws from the owning slot's stream,
+    /// the same stream a fresh generation at the slot would consume.
+    fn reroute_queued(&mut self, ni: NodeId, flow: FlowId, destination: &Destination) {
+        let epoch = self.epoch;
+        self.for_flow_slots(ni, flow, |slot| {
+            for f in &mut slot.queue {
+                f.epoch = epoch;
+                if f.is_head {
+                    f.route = Some(destination.pick(&mut slot.rng));
+                    f.hop = 1;
+                }
+            }
+        });
     }
 
     /// The knobs of the NI retransmit layer: online recovery's when
@@ -1402,7 +1509,7 @@ impl Simulator {
     /// — it re-enters the flit accounting through the normal inject
     /// path. The original injection cycle is preserved so delivery
     /// latency measures true end-to-end time including recovery.
-    fn emit_due_retransmits(&mut self) {
+    fn emit_due_retransmits(&mut self, owners: &mut Owners) {
         let cycle = self.cycle;
         let due: Vec<PacketId> = self
             .retransmit
@@ -1413,38 +1520,20 @@ impl Simulator {
         for packet in due {
             let ent = self.retransmit.get_mut(&packet).expect("collected above");
             ent.due = None;
+            let ent = *ent;
             self.retransmit_waiting -= 1;
-            let (si, flow, vc, priority, injected_at) =
-                (ent.si, ent.flow, ent.vc, ent.priority, ent.injected_at);
-            let slot = &mut self.sources[si];
-            let route = slot.source.destination.pick(&mut slot.rng);
-            let mut flits = Flit::packetize(
-                packet,
-                Some(flow),
-                route,
-                self.sources[si].source.packet_flits,
-                vc,
-                priority,
-                injected_at,
-            );
-            if self.epoch > 0 {
-                for f in &mut flits {
-                    f.epoch = self.epoch;
-                }
-            }
+            let ni = self.sources[ent.si].source.ni;
+            owners.of(self, ni).requeue_packet(packet, &ent);
             self.stats.recovery.retransmitted_packets += 1;
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent {
                     cycle,
                     kind: TraceKind::Retransmit,
                     packet,
-                    flow: Some(flow),
+                    flow: Some(ent.flow),
                     link: None,
                 });
             }
-            let ni = self.sources[si].source.ni;
-            self.note_queued(ni, flits.len());
-            self.sources[si].queue.extend(flits);
         }
         // Cheap step-phase guard: the earliest re-emission still pending.
         self.retransmit_next_due = self
@@ -1455,17 +1544,52 @@ impl Simulator {
             .unwrap_or(u64::MAX);
     }
 
-    /// Audits the dense port state against a full recount: every
-    /// front-table entry matches its buffer's front flit, buffer
-    /// occupancy counters match the buffers, `owner` and `route_lock`
-    /// pair up exactly, and — on a whole simulator, where every port's
-    /// sender and receiver live together — each port's credits plus the
-    /// flits it holds (on the wire, buffered, or awaiting a credit
-    /// return) equal the buffer depth. Test/diagnostic use; debug
+    /// Queues re-emission `packet` of retransmit entry `ent` at its
+    /// source's NI, re-packetized from the source's *current*
+    /// destination (the route drawn from the slot's stream) and stamped
+    /// with the current epoch.
+    fn requeue_packet(&mut self, packet: PacketId, ent: &RetransmitEntry) {
+        let slot = &mut self.sources[ent.si];
+        let route = slot.source.destination.pick(&mut slot.rng);
+        let mut flits = Flit::packetize(
+            packet,
+            Some(ent.flow),
+            route,
+            slot.source.packet_flits,
+            ent.vc,
+            ent.priority,
+            ent.injected_at,
+        );
+        if self.epoch > 0 {
+            for f in &mut flits {
+                f.epoch = self.epoch;
+            }
+        }
+        let ni = self.sources[ent.si].source.ni;
+        self.note_queued(ni, flits.len());
+        self.sources[ent.si].queue.extend(flits);
+    }
+
+    /// Audits the dense port state and the flit accounting against a
+    /// full recount: every front-table entry matches its buffer's front
+    /// flit, buffer occupancy counters match the buffers, the queued
+    /// count matches the source queues, `owner` and `route_lock` pair
+    /// up exactly, and — on a whole simulator, where every port's sender
+    /// and receiver live together — each port's credits plus the flits
+    /// it holds (on the wire, buffered, or awaiting a credit return)
+    /// equal the buffer depth, and flits are conserved (see
+    /// `check_conservation`). Callable in release builds; debug
     /// builds run it whenever stats finalize.
     #[doc(hidden)]
     pub fn audit_port_state(&self) -> Result<(), String> {
         let vcs = self.cfg.vcs;
+        if self.queued_count as usize != self.recount_flits_queued() {
+            return Err(format!(
+                "queued count {} but {} flits in source queues",
+                self.queued_count,
+                self.recount_flits_queued()
+            ));
+        }
         for (li, l) in self.links.iter().enumerate() {
             let buffered: usize = l.bufs.iter().map(VecDeque::len).sum();
             if self.buf_count[li] as usize != buffered {
@@ -1498,6 +1622,13 @@ impl Simulator {
             }
         }
         if self.part.is_none() {
+            check_conservation(
+                self.injected_flits_total,
+                self.ejected_flits_total,
+                self.dropped_flits_total,
+                self.in_network_count,
+                self.recount_flits_in_network(),
+            )?;
             let held = self.port_holdings();
             for (port, (&credits, &held)) in self.credits.iter().zip(&held).enumerate() {
                 if credits as usize + held as usize != self.cfg.buffer_depth {
@@ -1570,28 +1701,12 @@ impl Simulator {
         // Credits queued during the final stepped cycle must land before
         // `credits_restored` can hold on a drained network.
         self.apply_credit_returns();
-        // A shard's occupancy is only meaningful summed across the
-        // partition (boundary flits are counted on the sending side but
-        // buffered on the receiving one), so the recount invariant is a
-        // whole-simulator property.
-        if self.part.is_none() {
-            debug_assert_eq!(
-                self.in_network_count,
-                self.recount_flits_in_network() as i64,
-                "maintained in-network occupancy must match a full recount"
-            );
-            debug_assert_eq!(
-                self.queued_count as usize,
-                self.recount_flits_queued(),
-                "maintained queue occupancy must match a full recount"
-            );
-        }
-        // Shard-local parts of the audit hold on a shard too; credit
-        // conservation is checked across shards by the partitioned
+        // Shard-local parts of the audit hold on a shard too; credit and
+        // flit conservation are checked across shards by the partitioned
         // simulator's own audit.
         #[cfg(debug_assertions)]
         if let Err(e) = self.audit_port_state() {
-            panic!("dense port state diverged from a full recount: {e}");
+            panic!("port state or flit accounting diverged from a full recount: {e}");
         }
         self.stats.measured_cycles = self.cycle.saturating_sub(self.cfg.warmup);
         self.stats.link_flits = self
@@ -1630,21 +1745,40 @@ impl Simulator {
         if !self.credit_returns.is_empty() {
             self.apply_credit_returns();
         }
+        self.step_control(&mut Owners::Own);
+        self.step_data();
+    }
+
+    /// The control phases of one cycle, in order: fault transitions,
+    /// watchdogs, scheduled reroutes, hot-swap commits and due
+    /// retransmissions. The serial engine runs them on itself; a
+    /// partitioned run's parent runs them with its shards as `owners`.
+    /// Each phase sits behind an emptiness guard, so a fault-free cycle
+    /// costs only the guards.
+    #[inline]
+    pub(crate) fn step_control(&mut self, owners: &mut Owners) {
         if self.fault_cursor < self.fault_schedule.len() {
-            self.apply_fault_events();
+            self.apply_fault_events(owners);
         }
         if self.cycle >= self.watchdog_next_due {
             self.poll_watchdogs();
         }
         if self.reroute_cursor < self.reroutes.len() {
-            self.apply_reroutes();
+            self.apply_reroutes(owners);
         }
         if !self.pending_swaps.is_empty() {
-            self.commit_ready_swaps();
+            self.commit_ready_swaps(owners);
         }
         if self.retransmit_waiting > 0 && self.cycle >= self.retransmit_next_due {
-            self.emit_due_retransmits();
+            self.emit_due_retransmits(owners);
         }
+    }
+
+    /// The data phases of one cycle (deliver, eject, fault drop,
+    /// traverse, generate, inject), then the cycle advance. A
+    /// partitioned run's shards step only this; their credit returns
+    /// are applied at the barrier.
+    pub(crate) fn step_data(&mut self) {
         if self.event_mode {
             self.deliver_due();
             self.eject_active();
@@ -1673,89 +1807,92 @@ impl Simulator {
 
     /// Applies every fault transition scheduled at or before the current
     /// cycle (down transitions destroy the link's contents; up
-    /// transitions simply restore it).
-    fn apply_fault_events(&mut self) {
+    /// transitions simply restore it). Link state is mirrored into
+    /// every replica.
+    fn apply_fault_events(&mut self, owners: &mut Owners) {
         while self.fault_cursor < self.fault_schedule.len()
             && self.fault_schedule[self.fault_cursor].cycle <= self.cycle
         {
             let t = self.fault_schedule[self.fault_cursor];
             self.fault_cursor += 1;
+            let li = t.link.0;
             if t.up {
                 // Only the most recent fault on a link repairs it: an
                 // older overlapping fault's repair is a no-op.
-                if !self.link_up[t.link.0] && self.link_down_event[t.link.0] == Some(t.event) {
-                    self.link_up[t.link.0] = true;
-                    self.link_down_event[t.link.0] = None;
-                    self.links_down -= 1;
-                    if self.detected_down[t.link.0] {
-                        self.schedule_heal_watchdog(t.link, t.cycle);
-                    }
+                if self.link_up[li] || self.link_down_event[li] != Some(t.event) {
+                    continue;
                 }
-            } else if self.link_up[t.link.0] {
-                self.link_up[t.link.0] = false;
-                self.link_down_event[t.link.0] = Some(t.event);
-                self.links_down += 1;
-                if !self.detected_down[t.link.0] {
+                for sim in owners.all(self) {
+                    sim.set_link_state(li, true, None);
+                }
+                if self.detected_down[li] {
+                    self.schedule_heal_watchdog(t.link, t.cycle);
+                }
+                continue;
+            }
+            // A fault on an already-down link only takes over the
+            // attribution (and, for transients, the repair time).
+            let was_up = self.link_up[li];
+            for sim in owners.all(self) {
+                sim.set_link_state(li, false, Some(t.event));
+            }
+            if was_up {
+                if !self.detected_down[li] {
                     self.schedule_down_watchdog(t.link, t.cycle);
                 }
-                self.fail_link(t.link, t.event);
-            } else {
-                // Already down: the newer fault takes over attribution
-                // (and, for transients, the repair time).
-                self.link_down_event[t.link.0] = Some(t.event);
+                self.fail_link(owners, t.link, t.event);
             }
         }
+    }
+
+    /// Records a physical link-state transition.
+    fn set_link_state(&mut self, li: usize, up: bool, event: Option<usize>) {
+        if self.link_up[li] != up {
+            if up {
+                self.links_down -= 1;
+            } else {
+                self.links_down += 1;
+            }
+            self.link_up[li] = up;
+        }
+        self.link_down_event[li] = event;
     }
 
     /// Takes `link` down for fault `event`: destroys the wire's
     /// in-flight flits and receive buffer (returning their credits),
     /// purges any half-injected packet from the upstream NI's queue, and
     /// flushes wormhole fragments that already passed downstream with a
-    /// synthetic tail so their locks unwind cleanly.
-    fn fail_link(&mut self, link: LinkId, event: usize) {
+    /// synthetic tail so their locks unwind cleanly. Receiver-side
+    /// effects land on the owner of the link's destination, sender-side
+    /// ones on the owner of its source, losses in the caller's
+    /// retransmit layer.
+    fn fail_link(&mut self, owners: &mut Owners, link: LinkId, event: usize) {
         let vcs = self.cfg.vcs;
         let li = link.0;
-        // Receive buffer first, wire second: the last doomed flit per VC
-        // is then the newest, whose packet id labels the flush tail.
-        let mut doomed: Vec<Flit> = Vec::new();
-        for vc in 0..vcs {
-            while let Some(f) = self.pop_input(li, vc) {
-                doomed.push(f);
+        let (src, dst) = {
+            let l = self.topo.link(link);
+            (l.src, l.dst)
+        };
+        let doomed = owners.of(self, dst).drain_failed_link(link, event);
+        let mut last_packet: Vec<Option<PacketId>> = vec![None; vcs];
+        let sender = owners.of(self, src);
+        for f in &doomed {
+            last_packet[f.vc] = Some(f.packet);
+            sender.credits[li * vcs + f.vc] += 1;
+        }
+        let recovery_on = self.cfg.recovery.is_some();
+        if recovery_on {
+            for f in &doomed {
+                self.note_lost_flit(f);
             }
         }
-        doomed.extend(self.links[li].in_flight.drain(..).map(|(_, f)| f));
-        let mut last_packet: Vec<Option<PacketId>> = vec![None; vcs];
-        for f in doomed {
-            last_packet[f.vc] = Some(f.packet);
-            self.credits[li * vcs + f.vc] += 1;
-            self.account_drop(link, &f, Some(event));
-        }
-        // A packet caught half-injected at the upstream NI: the rest of
-        // it sits in a source queue and must never trickle in later (the
-        // flush tail below releases the downstream locks it would need).
-        // These flits never entered the fabric, so they leave the flit
-        // accounting entirely.
-        let src = self.topo.link(link).src;
-        let (os, oe) = self.adj.outgoing(src);
-        if oe > os && self.adj.out_flat[os] == link {
-            let recovery_on = self.cfg.recovery.is_some();
-            for vc in 0..vcs {
-                if let Some(si) = self.ni_wormhole[src.0 * vcs + vc] {
-                    while let Some(f) = self.sources[si].queue.pop_front() {
-                        self.queued_count -= 1;
-                        self.queued_at[src.0] -= 1;
-                        // Purged queue flits never entered the fabric,
-                        // but the packet is still lost end to end: the
-                        // retransmit layer must hear about it.
-                        if recovery_on {
-                            self.note_lost_flit(&f);
-                        }
-                        if f.is_tail {
-                            break;
-                        }
-                    }
-                    self.ni_wormhole[src.0 * vcs + vc] = None;
-                }
+        // Purged queue flits never entered the fabric, but the packet
+        // is still lost end to end: the retransmit layer must hear
+        // about it.
+        let purged = owners.of(self, src).purge_half_injected(link);
+        if recovery_on {
+            for f in &purged {
+                self.note_lost_flit(f);
             }
         }
         // Fragments beyond the link (a head traversed onward, its tail
@@ -1765,11 +1902,63 @@ impl Simulator {
         // exact) and counts as one injected flit, matched by its
         // eventual ejection or drop.
         for (vc, last) in last_packet.iter().enumerate() {
-            if self.route_lock[li * vcs + vc] != NO_LINK {
-                self.take_flush_credit(li, vc);
-                self.insert_flush_tail(link, vc, last.unwrap_or(PacketId(u64::MAX)));
+            if owners.of(self, dst).route_lock[li * vcs + vc] != NO_LINK {
+                owners.of(self, src).take_flush_credit(li, vc);
+                owners.of(self, dst).insert_flush_tail(
+                    link,
+                    vc,
+                    last.unwrap_or(PacketId(u64::MAX)),
+                );
             }
         }
+    }
+
+    /// Receiver side of `fail_link`: destroys the link's receive buffer,
+    /// then its wire, accounting each flit as dropped by `event`.
+    /// Returns the doomed flits in that order, so the last one per VC is
+    /// the newest, whose packet id labels the flush tail.
+    fn drain_failed_link(&mut self, link: LinkId, event: usize) -> Vec<Flit> {
+        let li = link.0;
+        let mut doomed: Vec<Flit> = Vec::new();
+        for vc in 0..self.cfg.vcs {
+            while let Some(f) = self.pop_input(li, vc) {
+                doomed.push(f);
+            }
+        }
+        doomed.extend(self.links[li].in_flight.drain(..).map(|(_, f)| f));
+        for f in &doomed {
+            self.account_drop(link, f, Some(event));
+        }
+        doomed
+    }
+
+    /// Sender side of `fail_link`: a packet caught half-injected at the
+    /// upstream NI has the rest of it in a source queue, and it must
+    /// never trickle in later (the flush tail releases the downstream
+    /// locks it would need). Removes those flits — they never entered
+    /// the fabric, so they leave the flit accounting entirely — and
+    /// returns them.
+    fn purge_half_injected(&mut self, link: LinkId) -> Vec<Flit> {
+        let vcs = self.cfg.vcs;
+        let src = self.topo.link(link).src;
+        let (os, oe) = self.adj.outgoing(src);
+        let mut purged = Vec::new();
+        if oe > os && self.adj.out_flat[os] == link {
+            for vc in 0..vcs {
+                if let Some(si) = self.ni_wormhole[src.0 * vcs + vc].take() {
+                    while let Some(f) = self.sources[si].queue.pop_front() {
+                        self.queued_count -= 1;
+                        self.queued_at[src.0] -= 1;
+                        let tail = f.is_tail;
+                        purged.push(f);
+                        if tail {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        purged
     }
 
     /// Takes one credit from `(link, vc)` for a flush tail (sender-side
@@ -1936,7 +2125,7 @@ impl Simulator {
                             self.drop_lock[port] = None;
                             self.drop_locks -= 1;
                         }
-                        self.account_drop(LinkId(li), &flit, Some(event));
+                        self.drop_flit(LinkId(li), &flit, Some(event));
                         continue;
                     }
                     let desired = self.desired_output(port);
@@ -1958,7 +2147,7 @@ impl Simulator {
                         self.owner[desired as usize * vcs + vc] = NO_LINK;
                         self.route_lock[port] = NO_LINK;
                     }
-                    self.account_drop(LinkId(desired as usize), &flit, event);
+                    self.drop_flit(LinkId(desired as usize), &flit, event);
                 }
             }
         }
@@ -1966,17 +2155,36 @@ impl Simulator {
 
     /// Applies every destination swap scheduled at or before the current
     /// cycle.
-    fn apply_reroutes(&mut self) {
+    fn apply_reroutes(&mut self, owners: &mut Owners) {
         while self.reroute_cursor < self.reroutes.len()
             && self.reroutes[self.reroute_cursor].cycle <= self.cycle
         {
             let r = self.reroutes[self.reroute_cursor].clone();
             self.reroute_cursor += 1;
-            for slot in &mut self.sources {
-                if slot.source.ni == r.ni && slot.source.flow == r.flow {
+            for sim in owners.slots_of(self, r.ni) {
+                sim.for_flow_slots(r.ni, r.flow, |slot| {
                     slot.source.destination = r.destination.clone();
                     slot.rerouted = true;
-                }
+                });
+            }
+        }
+    }
+
+    /// Data-phase fault drop: accounts the flit (see `account_drop`)
+    /// and reports the loss to the retransmit layer.
+    fn drop_flit(&mut self, link: LinkId, flit: &Flit, event: Option<usize>) {
+        self.account_drop(link, flit, event);
+        if self.cfg.recovery.is_some() {
+            // The retransmit layer lives in the parent of a partitioned
+            // run: ship the loss through the boundary channel, keyed by
+            // `(link, vc)` so the parent can replay the serial drop
+            // order (ascending link, ascending vc, FIFO within).
+            if let Some(part) = &mut self.part {
+                part.out
+                    .losses
+                    .push((link.0 as u32, flit.vc as u32, flit.clone()));
+            } else {
+                self.note_lost_flit(flit);
             }
         }
     }
@@ -1999,19 +2207,6 @@ impl Simulator {
                 flow: flit.flow,
                 link: Some(link),
             });
-        }
-        if self.cfg.recovery.is_some() {
-            // The retransmit layer lives in the parent of a partitioned
-            // run: ship the loss through the boundary channel, keyed by
-            // `(link, vc)` so the parent can replay the serial drop
-            // order (ascending link, ascending vc, FIFO within).
-            if let Some(part) = &mut self.part {
-                part.out
-                    .losses
-                    .push((link.0 as u32, flit.vc as u32, flit.clone()));
-            } else {
-                self.note_lost_flit(flit);
-            }
         }
     }
 
@@ -2231,16 +2426,7 @@ impl Simulator {
                             .push((port, flit.packet, flit.flow, flit.epoch));
                     }
                 } else {
-                    if !self.retransmit.is_empty() {
-                        if let Some(e) = self.retransmit.remove(&flit.packet) {
-                            if e.due.is_some() {
-                                self.retransmit_waiting -= 1;
-                            }
-                        }
-                    }
-                    // First post-swap-epoch delivery of a flow
-                    // proves its delivery path is restored.
-                    self.note_restored(flit.flow, flit.epoch);
+                    self.note_ack(flit.packet, flit.flow, flit.epoch);
                 }
             }
             if measuring && flit.injected_at >= self.cfg.warmup {
@@ -2264,11 +2450,19 @@ impl Simulator {
         }
     }
 
-    /// Records a tail delivery against the restore-pending map: the
-    /// first post-swap-epoch delivery of a flow proves its delivery
-    /// path is restored. Shared by the serial eject path and the
-    /// parent's barrier-time ack replay in a partitioned run.
-    fn note_restored(&mut self, flow: Option<FlowId>, epoch: u64) {
+    /// The end-to-end ack of a tail ejection: the packet arrived whole,
+    /// so its retransmit tracking ends, and the first post-swap-epoch
+    /// delivery of a flow proves its delivery path is restored. Shared
+    /// by the serial eject path and the parent's barrier-time ack
+    /// replay in a partitioned run.
+    fn note_ack(&mut self, packet: PacketId, flow: Option<FlowId>, epoch: u64) {
+        if !self.retransmit.is_empty() {
+            if let Some(e) = self.retransmit.remove(&packet) {
+                if e.due.is_some() {
+                    self.retransmit_waiting -= 1;
+                }
+            }
+        }
         if self.restore_pending.is_empty() {
             return;
         }
@@ -2907,12 +3101,12 @@ impl Simulator {
 // control-plane structure (fault schedule, watchdogs, pending swaps,
 // retransmit map, restore map, notices) — and N *shards*: clones of the
 // master localized with `part_install`, which step only the data
-// phases. Each cycle the parent runs the control phases (calling into
-// the owning shards in exactly the serial engine's order), the shards
-// step their data phases independently, and the parent merges boundary
-// traffic at the barrier in link-id-sorted order. Every sequence below
-// mirrors a serial `step` phase line by line; divergence is a parity
-// bug, and `tests/engine_parity.rs` holds the proof obligation.
+// phases. Each cycle the parent runs the serial engine's own control
+// phases (`step_control`, with the shards as `Owners`), the shards step
+// their data phases independently, and the parent merges boundary
+// traffic at the barrier in link-id-sorted order, replaying it in the
+// serial engine's order; `tests/engine_parity.rs` holds the proof
+// obligation.
 impl Simulator {
     /// The simulated topology (for partition construction).
     pub(crate) fn part_topology(&self) -> &Topology {
@@ -2988,427 +3182,6 @@ impl Simulator {
         }));
     }
 
-    /// One shard data-phase step (the partitioned counterpart of the
-    /// data half of [`step`](Simulator::step)). Control phases are the
-    /// parent's job; credit returns are applied at the barrier.
-    pub(crate) fn part_step_data(&mut self) {
-        debug_assert!(self.part.is_some(), "only shards step data phases");
-        debug_assert!(
-            self.credit_returns.is_empty(),
-            "the barrier applies credit returns"
-        );
-        self.deliver_due();
-        self.eject_active();
-        if self.links_down > 0 || self.drop_locks > 0 {
-            self.drop_blocked_flits();
-        }
-        self.traverse_active();
-        if self.generation_enabled {
-            self.generate_due();
-        }
-        self.inject_active();
-        self.cycle += 1;
-    }
-
-    /// Drains this shard's boundary outbox (barrier use).
-    pub(crate) fn part_take_outbox(&mut self) -> BoundaryOutbox {
-        std::mem::take(&mut self.part.as_mut().expect("shard").out)
-    }
-
-    /// Queues a boundary credit return on its owning (sender) shard; it
-    /// lands with the rest of the cycle's returns at the barrier.
-    pub(crate) fn part_queue_credit(&mut self, li: u32, vc: u32) {
-        self.credit_returns.push((li, vc));
-    }
-
-    /// Applies the queued credit returns (barrier use; the serial
-    /// engine does this at the top of `step`).
-    pub(crate) fn part_apply_credits(&mut self) {
-        self.apply_credit_returns();
-    }
-
-    /// Lands a boundary flit on the receiving shard's wire. The arrival
-    /// cycle was computed by the sender; it is strictly in the future,
-    /// so wheel bucketing cannot alias.
-    pub(crate) fn part_import_flit(&mut self, li: usize, arrival: u64, flit: Flit) {
-        self.links[li].in_flight.push_back((arrival, flit));
-        let bucket = (arrival & self.wheel_mask) as usize;
-        self.wheel[bucket].push(li as u32);
-    }
-
-    /// Mirrors a physical link-state transition into a shard (every
-    /// shard tracks `link_up` for its drop phase and injection gates).
-    pub(crate) fn part_set_link_state(&mut self, li: usize, up: bool, event: Option<usize>) {
-        if self.link_up[li] != up {
-            if up {
-                self.links_down -= 1;
-            } else {
-                self.links_down += 1;
-            }
-            self.link_up[li] = up;
-        }
-        self.link_down_event[li] = event;
-    }
-
-    /// Shard side of `fail_link`'s drain: destroys the link's receive
-    /// buffer and wire contents (receiver-owned state), accounting the
-    /// drops locally, and returns the doomed flits in the serial drain
-    /// order. The parent returns their credits to the sender shard and
-    /// feeds the retransmit layer.
-    pub(crate) fn part_fail_drain(&mut self, link: LinkId, event: usize) -> Vec<Flit> {
-        let li = link.0;
-        let mut doomed: Vec<Flit> = Vec::new();
-        for vc in 0..self.cfg.vcs {
-            while let Some(f) = self.pop_input(li, vc) {
-                doomed.push(f);
-            }
-        }
-        doomed.extend(self.links[li].in_flight.drain(..).map(|(_, f)| f));
-        for _ in &doomed {
-            self.dropped_flits_total += 1;
-            self.in_network_count -= 1;
-            self.stats.dropped_flits += 1;
-            *self.stats.fault_events.entry(event).or_default() += 1;
-        }
-        doomed
-    }
-
-    /// Restores `n` credits on `(link, vc)` immediately (control-phase
-    /// credit motion, like the serial `fail_link` drain).
-    pub(crate) fn part_add_credits(&mut self, li: usize, vc: usize, n: u32) {
-        self.credits[li * self.cfg.vcs + vc] += n;
-    }
-
-    /// Shard side of `fail_link`'s upstream purge: removes the rest of
-    /// any packet caught half-injected at the failed link's source NI.
-    /// Returns the purged flits (they never entered the fabric) so the
-    /// parent can feed the retransmit layer in serial order.
-    pub(crate) fn part_fail_purge(&mut self, link: LinkId) -> Vec<Flit> {
-        let vcs = self.cfg.vcs;
-        let src = self.topo.link(link).src;
-        let (os, oe) = self.adj.outgoing(src);
-        let mut purged = Vec::new();
-        if oe > os && self.adj.out_flat[os] == link {
-            for vc in 0..vcs {
-                if let Some(si) = self.ni_wormhole[src.0 * vcs + vc] {
-                    while let Some(f) = self.sources[si].queue.pop_front() {
-                        self.queued_count -= 1;
-                        self.queued_at[src.0] -= 1;
-                        let tail = f.is_tail;
-                        purged.push(f);
-                        if tail {
-                            break;
-                        }
-                    }
-                    self.ni_wormhole[src.0 * vcs + vc] = None;
-                }
-            }
-        }
-        purged
-    }
-
-    /// Whether `(link, vc)` holds a wormhole route lock (receiver-shard
-    /// state; `fail_link` flushes such streams with a synthetic tail).
-    pub(crate) fn part_route_locked(&self, li: usize, vc: usize) -> bool {
-        self.route_lock[li * self.cfg.vcs + vc] != NO_LINK
-    }
-
-    /// The quiesce check of `commit_ready_swaps`, on the shard owning
-    /// the NI: is a packet of `flow` still mid-wormhole there?
-    pub(crate) fn part_flow_busy(&self, ni: NodeId, flow: FlowId) -> bool {
-        let vcs = self.cfg.vcs;
-        self.sources_by_ni[ni.0].iter().any(|&si| {
-            self.sources[si].source.flow == flow
-                && (0..vcs).any(|vc| self.ni_wormhole[ni.0 * vcs + vc] == Some(si))
-        })
-    }
-
-    /// Mirrors the parent's routing-epoch bump into a shard (generated
-    /// flits are stamped with the current epoch).
-    pub(crate) fn part_set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// Shard side of a committed hot-swap: installs the new destination
-    /// on the owning slots and re-routes their queued packets, drawing
-    /// from each slot's private stream exactly like the serial commit.
-    pub(crate) fn part_commit_swap(
-        &mut self,
-        ni: NodeId,
-        flow: FlowId,
-        destination: &Destination,
-        new_epoch: u64,
-        count_rerouted: bool,
-    ) {
-        let slots: Vec<usize> = self.sources_by_ni[ni.0]
-            .iter()
-            .copied()
-            .filter(|&si| self.sources[si].source.flow == flow)
-            .collect();
-        for si in slots {
-            self.sources[si].source.destination = destination.clone();
-            self.sources[si].rerouted = count_rerouted;
-            self.sources[si].swap_pending = false;
-            let mut queue = std::mem::take(&mut self.sources[si].queue);
-            for f in &mut queue {
-                f.epoch = new_epoch;
-                if f.is_head {
-                    f.route = Some(destination.pick(&mut self.sources[si].rng));
-                    f.hop = 1;
-                }
-            }
-            self.sources[si].queue = queue;
-        }
-    }
-
-    /// Quiesces `(ni, flow)` on the owning shard for a requested swap.
-    pub(crate) fn part_set_swap_pending(&mut self, ni: NodeId, flow: FlowId) {
-        for slot in &mut self.sources {
-            if slot.source.ni == ni && slot.source.flow == flow {
-                slot.swap_pending = true;
-            }
-        }
-    }
-
-    /// Shard side of a scheduled destination swap (`apply_reroutes`).
-    pub(crate) fn part_apply_reroute(&mut self, ni: NodeId, flow: FlowId, dest: &Destination) {
-        for slot in &mut self.sources {
-            if slot.source.ni == ni && slot.source.flow == flow {
-                slot.source.destination = dest.clone();
-                slot.rerouted = true;
-            }
-        }
-    }
-
-    /// Shard side of one due retransmission: re-packetizes from the
-    /// owning slot's *current* destination (drawing its route from that
-    /// slot's stream, like the serial emission) and queues it at the NI.
-    pub(crate) fn part_emit_retransmit(
-        &mut self,
-        si: usize,
-        packet: PacketId,
-        flow: FlowId,
-        vc: usize,
-        priority: bool,
-        injected_at: u64,
-    ) {
-        let slot = &mut self.sources[si];
-        let route = slot.source.destination.pick(&mut slot.rng);
-        let mut flits = Flit::packetize(
-            packet,
-            Some(flow),
-            route,
-            slot.source.packet_flits,
-            vc,
-            priority,
-            injected_at,
-        );
-        if self.epoch > 0 {
-            for f in &mut flits {
-                f.epoch = self.epoch;
-            }
-        }
-        let ni = self.sources[si].source.ni;
-        self.note_queued(ni, flits.len());
-        self.sources[si].queue.extend(flits);
-    }
-
-    /// The parent's control step for the cycle the shards are about to
-    /// execute: every control phase of the serial `step`, in order,
-    /// with node-owned effects delegated to the owning shard.
-    pub(crate) fn part_parent_control(&mut self, shards: &mut [Simulator], shard_of_node: &[u32]) {
-        debug_assert!(self.part.is_none(), "the parent is not a shard");
-        // Phase: fault transitions (serial `apply_fault_events`).
-        while self.fault_cursor < self.fault_schedule.len()
-            && self.fault_schedule[self.fault_cursor].cycle <= self.cycle
-        {
-            let t = self.fault_schedule[self.fault_cursor];
-            self.fault_cursor += 1;
-            if t.up {
-                if !self.link_up[t.link.0] && self.link_down_event[t.link.0] == Some(t.event) {
-                    self.link_up[t.link.0] = true;
-                    self.link_down_event[t.link.0] = None;
-                    self.links_down -= 1;
-                    for sh in shards.iter_mut() {
-                        sh.part_set_link_state(t.link.0, true, None);
-                    }
-                    if self.detected_down[t.link.0] {
-                        self.schedule_heal_watchdog(t.link, t.cycle);
-                    }
-                }
-            } else if self.link_up[t.link.0] {
-                self.link_up[t.link.0] = false;
-                self.link_down_event[t.link.0] = Some(t.event);
-                self.links_down += 1;
-                for sh in shards.iter_mut() {
-                    sh.part_set_link_state(t.link.0, false, Some(t.event));
-                }
-                if !self.detected_down[t.link.0] {
-                    self.schedule_down_watchdog(t.link, t.cycle);
-                }
-                self.part_fail_link(t.link, t.event, shards, shard_of_node);
-            } else {
-                self.link_down_event[t.link.0] = Some(t.event);
-                for sh in shards.iter_mut() {
-                    sh.part_set_link_state(t.link.0, false, Some(t.event));
-                }
-            }
-        }
-        // Phase: watchdogs (parent-only state).
-        if self.cycle >= self.watchdog_next_due {
-            self.poll_watchdogs();
-        }
-        // Phase: scheduled destination swaps (serial `apply_reroutes`),
-        // applied on the owning shard and mirrored into the parent's
-        // replica slots (the recovery controller reads `sources()` on
-        // the parent).
-        while self.reroute_cursor < self.reroutes.len()
-            && self.reroutes[self.reroute_cursor].cycle <= self.cycle
-        {
-            let r = self.reroutes[self.reroute_cursor].clone();
-            self.reroute_cursor += 1;
-            shards[shard_of_node[r.ni.0] as usize].part_apply_reroute(r.ni, r.flow, &r.destination);
-            for slot in &mut self.sources {
-                if slot.source.ni == r.ni && slot.source.flow == r.flow {
-                    slot.source.destination = r.destination.clone();
-                    slot.rerouted = true;
-                }
-            }
-        }
-        // Phase: hot-swap commits (serial `commit_ready_swaps`).
-        if !self.pending_swaps.is_empty() {
-            let cycle = self.cycle;
-            let mut bumped = false;
-            let mut i = 0;
-            while i < self.pending_swaps.len() {
-                let p = &self.pending_swaps[i];
-                if cycle < p.not_before {
-                    i += 1;
-                    continue;
-                }
-                let sh = shard_of_node[p.ni.0] as usize;
-                if shards[sh].part_flow_busy(p.ni, p.flow) {
-                    i += 1;
-                    continue;
-                }
-                let p = self.pending_swaps.remove(i);
-                if !bumped {
-                    self.epoch += 1;
-                    self.stats.recovery.epoch_swaps += 1;
-                    bumped = true;
-                    for s in shards.iter_mut() {
-                        s.part_set_epoch(self.epoch);
-                    }
-                }
-                let new_epoch = self.epoch;
-                shards[sh].part_commit_swap(
-                    p.ni,
-                    p.flow,
-                    &p.destination,
-                    new_epoch,
-                    p.count_rerouted,
-                );
-                for slot in &mut self.sources {
-                    if slot.source.ni == p.ni && slot.source.flow == p.flow {
-                        slot.source.destination = p.destination.clone();
-                        slot.rerouted = p.count_rerouted;
-                        slot.swap_pending = false;
-                    }
-                }
-                let latency = cycle.saturating_sub(p.detected_at);
-                let r = &mut self.stats.recovery;
-                r.reroutes_installed += 1;
-                r.reroute_latency_total += latency;
-                r.reroute_latency_max = r.reroute_latency_max.max(latency);
-                if p.count_rerouted {
-                    self.restore_pending
-                        .insert(p.flow, (p.failed_at, new_epoch));
-                } else {
-                    self.restore_pending.remove(&p.flow);
-                }
-            }
-        }
-        // Phase: due retransmissions (serial `emit_due_retransmits`):
-        // the parent keeps the map and due bookkeeping, the owning
-        // shard re-packetizes (consuming the slot's stream) and queues.
-        if self.retransmit_waiting > 0 && self.cycle >= self.retransmit_next_due {
-            let cycle = self.cycle;
-            let due: Vec<PacketId> = self
-                .retransmit
-                .iter()
-                .filter(|(_, e)| matches!(e.due, Some(d) if d <= cycle))
-                .map(|(&p, _)| p)
-                .collect();
-            for packet in due {
-                let ent = self.retransmit.get_mut(&packet).expect("collected above");
-                ent.due = None;
-                self.retransmit_waiting -= 1;
-                let (si, flow, vc, priority, injected_at) =
-                    (ent.si, ent.flow, ent.vc, ent.priority, ent.injected_at);
-                let ni = self.sources[si].source.ni;
-                shards[shard_of_node[ni.0] as usize].part_emit_retransmit(
-                    si,
-                    packet,
-                    flow,
-                    vc,
-                    priority,
-                    injected_at,
-                );
-                self.stats.recovery.retransmitted_packets += 1;
-            }
-            self.retransmit_next_due = self
-                .retransmit
-                .values()
-                .filter_map(|e| e.due)
-                .min()
-                .unwrap_or(u64::MAX);
-        }
-    }
-
-    /// The parent's orchestration of `fail_link` across shards: the
-    /// receiver shard drains (returning doomed flits in serial order),
-    /// the sender shard gets the credits back and purges half-injected
-    /// packets, and locked wormhole streams are flushed with synthetic
-    /// tails — each effect on the shard that owns the state, in the
-    /// serial function's exact order.
-    fn part_fail_link(
-        &mut self,
-        link: LinkId,
-        event: usize,
-        shards: &mut [Simulator],
-        shard_of_node: &[u32],
-    ) {
-        let vcs = self.cfg.vcs;
-        let li = link.0;
-        let (src_node, dst_node) = {
-            let l = self.topo.link(link);
-            (l.src, l.dst)
-        };
-        let ds = shard_of_node[dst_node.0] as usize;
-        let ss = shard_of_node[src_node.0] as usize;
-        let doomed = shards[ds].part_fail_drain(link, event);
-        let mut last_packet: Vec<Option<PacketId>> = vec![None; vcs];
-        for f in &doomed {
-            last_packet[f.vc] = Some(f.packet);
-            shards[ss].part_add_credits(li, f.vc, 1);
-            if self.cfg.recovery.is_some() {
-                self.note_lost_flit(f);
-            }
-        }
-        let purged = shards[ss].part_fail_purge(link);
-        if self.cfg.recovery.is_some() {
-            for f in &purged {
-                self.note_lost_flit(f);
-            }
-        }
-        for (vc, last) in last_packet.iter().enumerate() {
-            if shards[ds].part_route_locked(li, vc) {
-                shards[ss].take_flush_credit(li, vc);
-                shards[ds].insert_flush_tail(link, vc, last.unwrap_or(PacketId(u64::MAX)));
-            }
-        }
-    }
-
     /// The per-cycle barrier: drains every shard's boundary outbox and
     /// applies the traffic in deterministic, link-id-sorted order —
     /// acks first, then losses, then flits, then credits, matching the
@@ -3423,7 +3196,7 @@ impl Simulator {
         let mut flits: Vec<(u32, u64, Flit)> = Vec::new();
         let mut credits: Vec<(u32, u32)> = Vec::new();
         for sh in shards.iter_mut() {
-            let out = sh.part_take_outbox();
+            let out = std::mem::take(&mut sh.part.as_mut().expect("shard").out);
             acks.extend(out.acks);
             nacks.extend(out.nacks);
             losses.extend(out.losses);
@@ -3444,14 +3217,7 @@ impl Simulator {
                 let (_, f) = na.next().expect("peeked");
                 self.note_lost_flit(&f);
             }
-            if !self.retransmit.is_empty() {
-                if let Some(e) = self.retransmit.remove(&packet) {
-                    if e.due.is_some() {
-                        self.retransmit_waiting -= 1;
-                    }
-                }
-            }
-            self.note_restored(flow, epoch);
+            self.note_ack(packet, flow, epoch);
         }
         for (_, f) in na {
             self.note_lost_flit(&f);
@@ -3463,22 +3229,28 @@ impl Simulator {
             self.note_lost_flit(f);
         }
         // Boundary flits enter the receiving shard's wire (one launch
-        // per link per cycle, so the link id is a total order).
+        // per link per cycle, so the link id is a total order). The
+        // sender computed the arrival cycle; it is strictly in the
+        // future, so wheel bucketing cannot alias.
         flits.sort_unstable_by_key(|&(li, _, _)| li);
         for (li, arrival, f) in flits {
-            let dst = self.link_dst[li as usize];
-            shards[shard_of_node[dst.0] as usize].part_import_flit(li as usize, arrival, f);
+            let sh = &mut shards[shard_of_node[self.link_dst[li as usize].0] as usize];
+            sh.links[li as usize].in_flight.push_back((arrival, f));
+            sh.wheel[(arrival & sh.wheel_mask) as usize].push(li);
         }
         // Boundary credits queue on their sender shard and land with
-        // the rest of the cycle's returns below.
+        // the rest of the cycle's returns below (the serial engine
+        // applies its returns at the top of `step`).
         credits.sort_unstable();
         for (li, vc) in credits {
             let src = self.topo.link(LinkId(li as usize)).src;
-            shards[shard_of_node[src.0] as usize].part_queue_credit(li, vc);
+            shards[shard_of_node[src.0] as usize]
+                .credit_returns
+                .push((li, vc));
         }
         self.cycle += 1;
         for sh in shards.iter_mut() {
-            sh.part_apply_credits();
+            sh.apply_credit_returns();
         }
     }
 }

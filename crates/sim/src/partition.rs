@@ -30,11 +30,12 @@
 //! buffered during the cycle, sorted by link id at the barrier, and
 //! applied exactly when the serial engine would make them visible.
 //! Control phases (faults, watchdogs, reroutes, hot-swap commits,
-//! retransmit emission) run on the parent before the shards step, each
-//! delegated to the shard owning the touched state in the serial
-//! phase's exact order. `tests/engine_parity.rs` enforces the claim:
-//! scan ≡ event ≡ partitioned at 1/2/4/8 workers, including under
-//! faults, online recovery, GALS domains and TDMA slots.
+//! retransmit emission) run on the parent before the shards step: the
+//! serial engine's own phase code, with each node-owned effect
+//! dispatched to the shard owning the node. `tests/engine_parity.rs`
+//! enforces the claim: scan ≡ event ≡ partitioned at 1/2/4/8 workers,
+//! including under faults, online recovery, GALS domains and TDMA
+//! slots.
 //!
 //! Worker count never affects results — only wall-clock time — so a
 //! [`PartitionedSimulator`] may be budget-shaped (see
@@ -42,7 +43,7 @@
 //! sweep without oversubscribing the machine.
 
 use crate::config::SimConfig;
-use crate::engine::Simulator;
+use crate::engine::{check_conservation, Owners, Simulator};
 use crate::gals::DomainMap;
 use crate::qos::SlotTable;
 use crate::recovery::RecoveryNotice;
@@ -217,6 +218,22 @@ impl PartitionedSimulator {
             .expect("master or parent always present")
     }
 
+    /// The control simulator plus the owners of its node state: the
+    /// master, owning everything, before the split; the parent and its
+    /// shards after.
+    fn control_mut(&mut self) -> (&mut Simulator, Owners<'_>) {
+        match &mut self.master {
+            Some(m) => (m, Owners::Own),
+            None => (
+                self.parent.as_mut().expect("split"),
+                Owners::Shards {
+                    shards: &mut self.shards,
+                    shard_of_node: &self.shard_of_node,
+                },
+            ),
+        }
+    }
+
     /// Registers a traffic source (see [`Simulator::add_source`]).
     pub fn add_source(&mut self, source: TrafficSource) {
         self.master_mut().add_source(source);
@@ -294,15 +311,12 @@ impl PartitionedSimulator {
 
     /// Drains the queued recovery notices (parent-side).
     pub fn take_recovery_notices(&mut self) -> Vec<RecoveryNotice> {
-        match &mut self.master {
-            Some(m) => m.take_recovery_notices(),
-            None => self.parent.as_mut().expect("split").take_recovery_notices(),
-        }
+        self.control_mut().0.take_recovery_notices()
     }
 
     /// Requests a routing-table hot-swap (see
     /// [`Simulator::request_route_swap`]). The pending swap lives in
-    /// the parent; the quiesce flag is set on the shard owning the NI.
+    /// the parent; the NI is also quiesced on the shard running it.
     pub fn request_route_swap(
         &mut self,
         ni: NodeId,
@@ -312,19 +326,8 @@ impl PartitionedSimulator {
         detected_at: u64,
         count_rerouted: bool,
     ) {
-        if let Some(m) = &mut self.master {
-            m.request_route_swap(
-                ni,
-                flow,
-                destination,
-                failed_at,
-                detected_at,
-                count_rerouted,
-            );
-            return;
-        }
-        let parent = self.parent.as_mut().expect("split");
-        parent.request_route_swap(
+        let (control, mut owners) = self.control_mut();
+        control.request_route_swap(
             ni,
             flow,
             destination,
@@ -332,19 +335,14 @@ impl PartitionedSimulator {
             detected_at,
             count_rerouted,
         );
-        let sh = self.shard_of_node[ni.0] as usize;
-        self.shards[sh].part_set_swap_pending(ni, flow);
+        owners.of(control, ni).quiesce_flow(ni, flow);
     }
 
     /// Stops packet generation without draining.
     pub fn stop_generation(&mut self) {
-        if let Some(m) = &mut self.master {
-            m.stop_generation();
-            return;
-        }
-        self.parent.as_mut().expect("split").stop_generation();
-        for sh in &mut self.shards {
-            sh.stop_generation();
+        let (control, mut owners) = self.control_mut();
+        for sim in owners.all(control) {
+            sim.stop_generation();
         }
     }
 
@@ -404,10 +402,11 @@ impl PartitionedSimulator {
     }
 
     /// Audits every shard's dense port state (see
-    /// [`Simulator::audit_port_state`]) and checks credit conservation
-    /// across shards: each port's credits, kept by the shard of its
-    /// sender, plus the slots it holds on any shard equal the buffer
-    /// depth. Call between steps. Test/diagnostic use.
+    /// [`Simulator::audit_port_state`]) and checks conservation across
+    /// shards: each port's credits, kept by the shard of its sender,
+    /// plus the slots it holds on any shard equal the buffer depth, and
+    /// the shards' flit totals balance as a serial simulator's do.
+    /// Call between steps; callable in release builds.
     #[doc(hidden)]
     pub fn audit_port_state(&self) -> Result<(), String> {
         if let Some(m) = &self.master {
@@ -425,6 +424,14 @@ impl PartitionedSimulator {
                 *sum += x;
             }
         }
+        let shards = &self.shards;
+        check_conservation(
+            self.injected_flits_total(),
+            self.ejected_flits_total(),
+            self.dropped_flits_total(),
+            shards.iter().map(Simulator::part_in_network_raw).sum(),
+            shards.iter().map(Simulator::recount_flits_in_network).sum(),
+        )?;
         for (li, l) in parent.part_topology().links().iter().enumerate() {
             let sender = &self.shards[self.shard_of_node[l.src.0] as usize];
             for vc in 0..vcs {
@@ -477,9 +484,12 @@ impl PartitionedSimulator {
     pub fn step(&mut self) {
         self.ensure_split();
         let parent = self.parent.as_mut().expect("split");
-        parent.part_parent_control(&mut self.shards, &self.shard_of_node);
+        parent.step_control(&mut Owners::Shards {
+            shards: &mut self.shards,
+            shard_of_node: &self.shard_of_node,
+        });
         for sh in &mut self.shards {
-            sh.part_step_data();
+            sh.step_data();
         }
         parent.part_absorb_outboxes(&mut self.shards, &self.shard_of_node);
     }
@@ -505,13 +515,9 @@ impl PartitionedSimulator {
     /// Finalizes cycle-derived statistics. External `step` loops call
     /// this once after their last step; `run`/`drain` do it implicitly.
     pub fn finish(&mut self) {
-        if let Some(m) = &mut self.master {
-            m.finish();
-            return;
-        }
-        self.parent.as_mut().expect("split").finish();
-        for sh in &mut self.shards {
-            sh.finish();
+        let (control, mut owners) = self.control_mut();
+        for sim in owners.all(control) {
+            sim.finish();
         }
     }
 
@@ -561,7 +567,7 @@ impl PartitionedSimulator {
                 let done = done_tx.clone();
                 scope.spawn(move || {
                     while let Ok((i, mut sh)) = rx.recv() {
-                        sh.part_step_data();
+                        sh.step_data();
                         if done.send((i, sh)).is_err() {
                             break;
                         }
@@ -574,7 +580,10 @@ impl PartitionedSimulator {
                 if stop_when_idle && Self::idle(parent, shards) {
                     break;
                 }
-                parent.part_parent_control(shards, shard_of_node);
+                parent.step_control(&mut Owners::Shards {
+                    shards,
+                    shard_of_node,
+                });
                 for (i, sh) in shards.drain(..).enumerate() {
                     cmd[i % workers].send((i, sh)).expect("worker alive");
                 }

@@ -19,10 +19,14 @@ use noc_sim::gals::DomainMap;
 use noc_sim::partition::PartitionedSimulator;
 use noc_sim::patterns;
 use noc_sim::qos::SlotTable;
+use noc_sim::recovery::RecoverableSimulator;
+use noc_sim::stats::SimStats;
 use noc_sim::sweep::SweepRunner;
-use noc_sim::traffic::{InjectionProcess, TrafficSource};
+use noc_sim::traffic::{Destination, InjectionProcess, TrafficSource};
+use noc_spec::fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget, RecoveryConfig};
 use noc_spec::{CoreId, FlowId, TrafficShape};
 use noc_topology::generators::{mesh, Mesh};
+use noc_topology::graph::{LinkId, NodeId};
 use proptest::prelude::*;
 
 /// The worker counts every partitioned-parity case must pass at.
@@ -722,4 +726,194 @@ fn saturated_acknack_parity_with_deep_warmup() {
         event.stats().flows.get(&FlowId(0)),
         scan.stats().flows.get(&FlowId(0))
     );
+}
+
+/// The engine surface the same-cycle control-phase case drives.
+trait ControlProbe: RecoverableSimulator {
+    fn audit(&self) -> Result<(), String>;
+    fn stats_now(&self) -> SimStats;
+    fn epoch_now(&self) -> u64;
+    fn link_up(&self, link: LinkId) -> bool;
+}
+
+impl ControlProbe for Simulator {
+    fn audit(&self) -> Result<(), String> {
+        self.audit_port_state()
+    }
+    fn stats_now(&self) -> SimStats {
+        self.stats().clone()
+    }
+    fn epoch_now(&self) -> u64 {
+        self.epoch()
+    }
+    fn link_up(&self, link: LinkId) -> bool {
+        self.link_is_up(link)
+    }
+}
+
+impl ControlProbe for PartitionedSimulator {
+    fn audit(&self) -> Result<(), String> {
+        self.audit_port_state()
+    }
+    fn stats_now(&self) -> SimStats {
+        self.stats()
+    }
+    fn epoch_now(&self) -> u64 {
+        self.epoch()
+    }
+    fn link_up(&self, link: LinkId) -> bool {
+        self.link_is_up(link)
+    }
+}
+
+/// The cycle on which every control phase fires at once.
+const SAME_CYCLE: u64 = 400;
+
+/// What lands on [`SAME_CYCLE`] in the same-cycle case.
+struct SameCycle {
+    /// The link failing on the cycle, and its fault-plan event index.
+    fault: (LinkId, usize),
+    /// Source index of the flow whose scheduled reroute fires.
+    reroute: usize,
+    /// The hot-swap requested `reroute_delay` cycles earlier.
+    swap: (NodeId, FlowId, Destination),
+    recovery: RecoveryConfig,
+}
+
+/// Steps `sim` through the same-cycle case and drains it, auditing the
+/// port state and flit conservation after every cycle and checking
+/// that all four control effects land exactly on [`SAME_CYCLE`].
+fn drive_same_cycle<S: ControlProbe>(mut sim: S, label: &str, case: &SameCycle) -> SimStats {
+    let audit = |sim: &S, cycle: u64| {
+        if let Err(e) = sim.audit() {
+            panic!("{label}: audit failed after cycle {cycle}: {e}");
+        }
+    };
+    let rerouted = |sim: &S| {
+        matches!(
+            sim.sources().nth(case.reroute).map(|s| &s.destination),
+            Some(Destination::Fixed(_))
+        )
+    };
+    let (link, event) = case.fault;
+    for cycle in 0..2 * SAME_CYCLE {
+        if cycle == SAME_CYCLE - case.recovery.reroute_delay {
+            let (ni, flow, dest) = case.swap.clone();
+            sim.request_route_swap(ni, flow, dest, cycle, cycle, true);
+        }
+        if cycle == SAME_CYCLE {
+            assert!(sim.link_up(link), "{label}: fault before its cycle");
+            assert!(!rerouted(&sim), "{label}: reroute before its cycle");
+            assert_eq!(sim.epoch_now(), 0, "{label}: swap before its cycle");
+            let before = sim.stats_now().recovery.retransmitted_packets;
+            assert_eq!(before, 0, "{label}: retransmission before its cycle");
+        }
+        sim.step();
+        if cycle == SAME_CYCLE {
+            let stats = sim.stats_now();
+            assert!(!sim.link_up(link), "{label}: the fault must land");
+            assert!(
+                stats.fault_events.get(&event).is_some_and(|&n| n > 0),
+                "{label}: the fault must destroy traffic"
+            );
+            assert!(rerouted(&sim), "{label}: the reroute must land");
+            assert_eq!(sim.epoch_now(), 1, "{label}: the swap must commit");
+            assert!(
+                stats.recovery.retransmitted_packets > 0,
+                "{label}: a retransmission must come due"
+            );
+        }
+        audit(&sim, cycle);
+    }
+    sim.stop_generation();
+    let mut cycle = 2 * SAME_CYCLE;
+    while sim.flits_in_network() + sim.flits_queued() + sim.pending_retransmits() > 0 {
+        assert!(cycle < 40_000, "{label}: the network must drain");
+        sim.step();
+        audit(&sim, cycle);
+        cycle += 1;
+    }
+    sim.finish();
+    sim.stats_now()
+}
+
+/// Every control phase in one cycle: at [`SAME_CYCLE`] a link fails, a
+/// scheduled reroute fires, a requested hot-swap commits and a
+/// retransmission armed by an earlier fault comes due. The random
+/// proptests rarely line these up; this case pins the serial phase
+/// order, which the partitioned parent must keep because it runs the
+/// same phase code with its shards owning the node state: identical
+/// `SimStats` on the scan, event and partitioned engines, with a clean
+/// audit after every cycle.
+#[test]
+fn every_control_phase_lands_in_one_cycle() {
+    let recovery = RecoveryConfig {
+        reroute_delay: 24,
+        retry_backoff: 16,
+        ..RecoveryConfig::default()
+    };
+    let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
+    let m = mesh(4, 4, &cores, 32).expect("valid shape");
+    let sources = patterns::uniform_random(&m, 0.3, 4).expect("rate in range");
+    let fabric: Vec<usize> = m
+        .topology
+        .links()
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| m.topology.node(l.src).is_switch() && m.topology.node(l.dst).is_switch())
+        .map(|(i, _)| i)
+        .collect();
+    let fault = |link: usize, start: u64| FaultEvent {
+        target: FaultTarget::Link(link),
+        start,
+        kind: FaultKind::Transient { duration: 120 },
+    };
+    // The early fault's losses arm retransmissions due one backoff
+    // later, on the same cycle as the second fault.
+    let plan = FaultPlan::from_events(vec![
+        fault(fabric[2], SAME_CYCLE - recovery.retry_backoff),
+        fault(fabric[19], SAME_CYCLE),
+    ]);
+    let event = plan
+        .events()
+        .iter()
+        .position(|e| e.start == SAME_CYCLE)
+        .expect("same-cycle fault");
+    let first_route = |s: &TrafficSource| match &s.destination {
+        Destination::Weighted { routes, .. } => Destination::Fixed(routes[0].clone()),
+        fixed => fixed.clone(),
+    };
+    let (rerouted, swapped) = (&sources[5], &sources[10]);
+    let case = SameCycle {
+        fault: (LinkId(fabric[19]), event),
+        reroute: 5,
+        swap: (swapped.ni, swapped.flow, first_route(swapped)),
+        recovery,
+    };
+    let build = |scan: bool| {
+        let cfg = SimConfig::default().with_warmup(0);
+        let sim = Simulator::new(m.topology.clone(), cfg).with_seed(21);
+        let mut sim = if scan { sim.with_scan_engine() } else { sim };
+        for s in &sources {
+            sim.add_source(s.clone());
+        }
+        sim.set_fault_plan(&plan).expect("plan installs");
+        sim.enable_recovery(recovery);
+        sim.schedule_reroute(
+            SAME_CYCLE,
+            rerouted.ni,
+            rerouted.flow,
+            first_route(rerouted),
+        );
+        sim
+    };
+    let event = drive_same_cycle(build(false), "event engine", &case);
+    let scan = drive_same_cycle(build(true), "scan engine", &case);
+    assert_eq!(scan, event, "scan and event engines diverged");
+    for workers in [2, 4] {
+        let label = format!("partitioned engine, {workers} workers");
+        let part = PartitionedSimulator::from_simulator(build(false), workers);
+        let stats = drive_same_cycle(part, &label, &case);
+        assert_eq!(stats, event, "{label} diverged from the event engine");
+    }
 }

@@ -179,8 +179,9 @@ impl fmt::Display for ContentHash {
     }
 }
 
-/// One SplitMix64 scramble round — the finalizer of both hash lanes.
-fn mix64(mut z: u64) -> u64 {
+/// One SplitMix64 scramble round — the finalizer of both hash lanes
+/// and of the fault-plan generator's stream.
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -297,14 +297,11 @@ impl Default for FaultScenario {
 }
 
 /// SplitMix64 step — the same generator family as
-/// `noc_par::point_seed`, inlined so this crate stays
-/// dependency-free.
+/// `noc_par::point_seed`, kept in this crate so it stays
+/// dependency-free; the finalizer is [`canon`](crate::canon)'s.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::canon::mix64(*state)
 }
 
 fn pick_in(state: &mut u64, lo: u64, hi: u64) -> u64 {
